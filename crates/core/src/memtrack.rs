@@ -20,8 +20,28 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
+/// Highest live level since the last reset.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static BASELINE: AtomicUsize = AtomicUsize::new(0);
+/// Lowest live level since the last reset.
+static LOW: AtomicUsize = AtomicUsize::new(0);
+/// Largest growth of the live level above an earlier level since the
+/// last reset: what [`peak_bytes`] reports.
+static RISE: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let now = CURRENT.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+    // The level just before this allocation is itself an earlier level,
+    // so the allocation counts in full even while a concurrent free has
+    // lowered `CURRENT` but not yet `LOW`.
+    let low = LOW.load(Ordering::Relaxed).min(now - by);
+    RISE.fetch_max(now - low, Ordering::Relaxed);
+}
+
+fn shrank(by: usize) {
+    let now = CURRENT.fetch_sub(by, Ordering::Relaxed).wrapping_sub(by);
+    LOW.fetch_min(now, Ordering::Relaxed);
+}
 
 /// Counting allocator; see module docs.
 pub struct TrackingAllocator;
@@ -31,26 +51,23 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            let now = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(now, Ordering::Relaxed);
+            grew(layout.size());
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrank(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             if new_size >= layout.size() {
-                let now = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                    + (new_size - layout.size());
-                PEAK.fetch_max(now, Ordering::Relaxed);
+                grew(new_size - layout.size());
             } else {
-                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                shrank(layout.size() - new_size);
             }
         }
         new_ptr
@@ -62,18 +79,22 @@ pub fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
-/// Reset the peak to the current live size and remember the live size as
-/// the measurement baseline.
+/// Start a measurement at the current live size.
 pub fn reset_peak() {
     let now = CURRENT.load(Ordering::Relaxed);
-    BASELINE.store(now, Ordering::Relaxed);
     PEAK.store(now, Ordering::Relaxed);
+    LOW.store(now, Ordering::Relaxed);
+    RISE.store(0, Ordering::Relaxed);
 }
 
-/// Peak bytes above the baseline since the last [`reset_peak`]. Zero when
-/// the tracking allocator is not registered.
+/// Peak bytes of the measurement started by the last [`reset_peak`]: the
+/// largest amount the live size grew above any earlier level since then.
+/// Measured from the lowest level rather than from the level at the
+/// reset, so memory other threads free meanwhile (a finished query's
+/// scheduler tasks, the test harness) cannot hide the measured work's
+/// allocations. Zero when the tracking allocator is not registered.
 pub fn peak_bytes() -> usize {
-    PEAK.load(Ordering::Relaxed).saturating_sub(BASELINE.load(Ordering::Relaxed))
+    RISE.load(Ordering::Relaxed)
 }
 
 /// Absolute peak since the last reset.

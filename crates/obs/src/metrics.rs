@@ -72,6 +72,13 @@ pub static EXEC_PLAN_CACHE_MISSES: Counter = Counter::new();
 pub static EXEC_PLAN_CACHE_INVALIDATIONS: Counter = Counter::new();
 /// Catalog epoch bumps (CREATE/DROP/append).
 pub static EXEC_CATALOG_EPOCH_BUMPS: Counter = Counter::new();
+/// Scan blocks read whole and emitted (`exec.scan.rows` counts their rows).
+pub static EXEC_SCAN_BLOCKS_READ: Counter = Counter::new();
+/// Scan blocks skipped by the min/max SMA check, with no column read.
+pub static EXEC_SCAN_BLOCKS_PRUNED: Counter = Counter::new();
+/// Scan blocks skipped by the filter-first check: only the pushed-down
+/// filter's columns were read, and no row passed it.
+pub static EXEC_SCAN_BLOCKS_SKIPPED: Counter = Counter::new();
 
 pub static EXEC_SCAN: StageMetrics = StageMetrics::new();
 pub static EXEC_FILTER: StageMetrics = StageMetrics::new();
@@ -221,6 +228,9 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("exec.plan_cache.misses", &EXEC_PLAN_CACHE_MISSES),
     ("exec.plan_cache.invalidations", &EXEC_PLAN_CACHE_INVALIDATIONS),
     ("exec.catalog.epoch_bumps", &EXEC_CATALOG_EPOCH_BUMPS),
+    ("exec.scan.blocks_read", &EXEC_SCAN_BLOCKS_READ),
+    ("exec.scan.blocks_pruned", &EXEC_SCAN_BLOCKS_PRUNED),
+    ("exec.scan.blocks_skipped", &EXEC_SCAN_BLOCKS_SKIPPED),
     ("modeljoin.build.count", &MODELJOIN_BUILD_COUNT),
     ("modeljoin.quant.builds", &MODELJOIN_QUANT_BUILDS),
     ("modeljoin.cache.hits", &MODELJOIN_CACHE_HITS),

@@ -1029,21 +1029,28 @@ mod tests {
     fn same_model_requests_coalesce_into_one_batch() {
         const REQUESTS: usize = 8;
         let e = engine();
-        // A generous flush window: all 8 requests are submitted within it,
-        // so the single worker must coalesce them into one full batch.
         let server = Server::start(
             Arc::clone(&e),
             ServeConfig {
                 workers: 1,
-                batch_flush_us: 200_000,
+                batch_flush_us: 10_000_000,
                 max_batch_rows: REQUESTS,
                 ..config()
             },
         );
         register_dense(&server, &e, "m");
+        // With nothing in flight, the coordinator's work-conserving flush
+        // sends a partial batch as soon as it sees one, so whether the
+        // submits below coalesce would race its wake-up. Hold one
+        // pretend batch in flight while submitting, as under sustained
+        // load: the batch then flushes only once all REQUESTS
+        // (= max_batch_rows) are in, long before the window expires.
+        *lock_recover(&server.shared.inflight) += 1;
         let handles: Vec<RequestHandle> = (0..REQUESTS)
             .map(|i| server.submit_predict("m", vec![i as f32 * 0.1; 4]).unwrap())
             .collect();
+        *lock_recover(&server.shared.inflight) -= 1;
+        server.shared.inflight_cv.notify_all();
         for h in handles {
             let Response::Prediction(row) = h.wait().unwrap() else { panic!("prediction") };
             assert_eq!(row.len(), 1);

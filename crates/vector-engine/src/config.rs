@@ -15,7 +15,9 @@ pub struct EngineConfig {
     /// Number of worker threads for partition-parallel queries.
     pub parallelism: usize,
     /// Enable min/max (SMA) block pruning in scans — the optimization
-    /// ML-To-SQL's layer filters rely on (paper Sec. 4.4).
+    /// ML-To-SQL's layer filters rely on (paper Sec. 4.4) — and the
+    /// filter-first block check that skips a block after reading only the
+    /// columns its pushed-down filter references.
     pub sma_pruning: bool,
     /// Enable extraction of hash joins from cross join + equality filters.
     pub hash_join: bool,

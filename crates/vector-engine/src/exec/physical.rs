@@ -7,7 +7,7 @@ use crate::exec::join::{CrossJoinExec, HashJoinExec};
 use crate::exec::rowwise::{RowHashAggExec, RowHashJoinExec};
 use crate::exec::scan::ScanExec;
 use crate::exec::simple::{BatchesExec, FilterExec, LimitExec, ProjectExec, SortExec, ValuesExec};
-use crate::plan::logical::LogicalPlan;
+use crate::plan::logical::{LogicalPlan, PrunePredicate};
 use crate::storage::Table;
 use std::sync::Arc;
 
@@ -63,6 +63,10 @@ pub struct ExecContext {
     /// Build the seed value-at-a-time join/agg operators instead of the
     /// vectorized ones (`EngineConfig::rowwise_ops`).
     pub rowwise_ops: bool,
+    /// Prune scan blocks by their min/max SMAs and read them filter-first
+    /// under the filter directly above the scan
+    /// (`EngineConfig::sma_pruning`).
+    pub sma_pruning: bool,
     /// Time each operator's `next()` into the per-stage histograms
     /// (`EngineConfig::obs_spans`). Row/batch counters stay on regardless.
     pub obs_spans: bool,
@@ -76,6 +80,7 @@ impl ExecContext {
             scan_blocks: None,
             worker_threads: 1,
             rowwise_ops: false,
+            sma_pruning: true,
             obs_spans: true,
         }
     }
@@ -88,6 +93,7 @@ impl ExecContext {
             scan_blocks: None,
             worker_threads: config.effective_worker_threads(),
             rowwise_ops: config.rowwise_ops,
+            sma_pruning: config.sma_pruning,
             obs_spans: config.obs_spans,
         }
     }
@@ -168,21 +174,36 @@ fn stage_of(plan: &LogicalPlan) -> &'static obs::StageMetrics {
 /// Translate a logical plan into an operator tree. Every operator is
 /// wrapped in a [`MeteredOp`] reporting into its stage's metrics.
 pub fn build_operator(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
-    let inner = build_operator_inner(plan, ctx)?;
-    Ok(Box::new(MeteredOp { inner, stage: stage_of(plan), spans: ctx.obs_spans }))
+    Ok(metered(plan, ctx, build_operator_inner(plan, ctx)?))
+}
+
+fn metered(plan: &LogicalPlan, ctx: &ExecContext, inner: Box<dyn Operator>) -> Box<dyn Operator> {
+    Box::new(MeteredOp { inner, stage: stage_of(plan), spans: ctx.obs_spans })
+}
+
+/// The scan of `table`, restricted to the context's partition and block
+/// range when the context drives this table.
+fn scan(table: &Arc<Table>, pruning: &[PrunePredicate], ctx: &ExecContext) -> ScanExec {
+    let (partition, blocks) = match &ctx.scan_restrict {
+        Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_blocks),
+        _ => (None, None),
+    };
+    ScanExec::with_blocks(Arc::clone(table), pruning.to_vec(), partition, blocks)
 }
 
 fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
     Ok(match plan {
-        LogicalPlan::Scan { table, pruning, .. } => {
-            let (partition, blocks) = match &ctx.scan_restrict {
-                Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_blocks),
-                _ => (None, None),
-            };
-            Box::new(ScanExec::with_blocks(Arc::clone(table), pruning.clone(), partition, blocks))
-        }
+        LogicalPlan::Scan { table, pruning, .. } => Box::new(scan(table, pruning, ctx)),
         LogicalPlan::Filter { input, predicate } => {
-            Box::new(FilterExec::new(build_operator(input, ctx)?, predicate.clone()))
+            let input = match input.as_ref() {
+                // The filter-first scan skips blocks with no passing row;
+                // the FilterExec still picks the rows of the others.
+                LogicalPlan::Scan { table, pruning, .. } if ctx.sma_pruning => {
+                    metered(input, ctx, Box::new(scan(table, pruning, ctx).filter_first(predicate)))
+                }
+                _ => build_operator(input, ctx)?,
+            };
+            Box::new(FilterExec::new(input, predicate.clone()))
         }
         LogicalPlan::Project { input, exprs, .. } => {
             Box::new(ProjectExec::new(build_operator(input, ctx)?, exprs.clone()))

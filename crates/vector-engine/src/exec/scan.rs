@@ -1,11 +1,11 @@
-//! Table scan with SMA block pruning.
+//! Table scan with SMA block pruning and filter-first block reads.
 
-use crate::column::Batch;
+use crate::column::{Batch, ColumnVector};
 use crate::error::Result;
 use crate::exec::physical::Operator;
-use crate::expr::BinaryOp;
+use crate::expr::{BinaryOp, Expr};
 use crate::plan::logical::PrunePredicate;
-use crate::storage::Table;
+use crate::storage::{Partition, Table};
 use crate::types::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -14,9 +14,20 @@ use std::sync::Arc;
 /// pruning predicates can never match are skipped without being read — the
 /// paper's Sec. 4.4 optimization ("applying the filter before joining ...
 /// enabling block pruning of the model table").
+///
+/// When the scan also carries the filter that sits directly above it
+/// ([`ScanExec::filter_first`]), every block that survives the SMA check
+/// is read filter-first: only the filter's columns are loaded, the filter
+/// is evaluated on them, and a block in which no row passes is skipped
+/// before its other columns are loaded. SMAs cannot prune shuffled keys (a
+/// block's min/max spans nearly the whole domain); this check still can.
+/// A block with a passing row is emitted whole and unfiltered, so the
+/// `FilterExec` above still decides which rows survive and results are
+/// unchanged.
 pub struct ScanExec {
     table: Arc<Table>,
     pruning: Vec<PrunePredicate>,
+    filter: Option<BlockFilter>,
     /// Restrict to one partition (parallel workers) or scan all.
     partition: Option<usize>,
     /// Restrict to a `[start, end)` block range within each scanned
@@ -33,8 +44,39 @@ pub struct ScanExec {
     cursor: (usize, usize),
     /// Statistics: blocks skipped by SMA pruning.
     pub blocks_pruned: usize,
-    /// Statistics: blocks actually read.
+    /// Statistics: blocks skipped by the filter-first check.
+    pub blocks_skipped: usize,
+    /// Statistics: blocks read whole and emitted.
     pub blocks_read: usize,
+}
+
+/// The filter above a scan, renumbered onto the columns it reads.
+struct BlockFilter {
+    /// Table columns the predicate references, ascending.
+    columns: Vec<usize>,
+    /// The predicate with column `columns[i]` renumbered to `i`.
+    predicate: Expr,
+}
+
+/// Rows of a block the filter-first check tries before the whole block.
+const PROBE_ROWS: usize = 32;
+
+impl BlockFilter {
+    /// Whether some row of `block` (the filter's columns) passes. A short
+    /// prefix is tried first, so a filter most rows pass costs a fraction
+    /// of a second evaluation; only a block whose prefix passes nothing
+    /// is evaluated whole. An error in the prefix keeps the block, so the
+    /// `FilterExec` raises its own error on it; an error over the whole
+    /// block is the one the `FilterExec` would raise.
+    fn passes_any(&self, block: &Batch) -> Result<bool> {
+        let any = |batch: &Batch| -> Result<bool> {
+            Ok(self.predicate.eval(batch)?.as_bool()?.contains(&true))
+        };
+        if block.num_rows() > PROBE_ROWS && any(&block.slice(0, PROBE_ROWS)).unwrap_or(true) {
+            return Ok(true);
+        }
+        any(block)
+    }
 }
 
 impl ScanExec {
@@ -60,13 +102,31 @@ impl ScanExec {
         ScanExec {
             table,
             pruning,
+            filter: None,
             partition,
             blocks,
             snapshot,
             cursor: (start_p, start_b),
             blocks_pruned: 0,
+            blocks_skipped: 0,
             blocks_read: 0,
         }
+    }
+
+    /// Read blocks filter-first under `predicate`, the predicate of the
+    /// filter directly above this scan (over the table's columns). A
+    /// predicate that reads no column, or every column, is ignored: the
+    /// check would then save no column load.
+    pub fn filter_first(mut self, predicate: &Expr) -> ScanExec {
+        let columns: Vec<usize> = predicate.columns().into_iter().collect();
+        if columns.is_empty() || columns.len() == self.table.schema().len() {
+            return self;
+        }
+        let predicate = predicate.map_columns(&|c| {
+            columns.binary_search(&c).expect("the predicate references its own columns")
+        });
+        self.filter = Some(BlockFilter { columns, predicate });
+        self
     }
 
     fn block_survives(&self, min: &Value, max: &Value, pred: &PrunePredicate) -> bool {
@@ -84,6 +144,30 @@ impl ScanExec {
             _ => true,
         }
     }
+
+    /// Block `b` of `part` as a batch, or `None` when the filter-first
+    /// check finds no row that passes. The check's columns are reused in
+    /// the emitted batch, so no column is loaded twice.
+    fn read_block(&self, part: &Partition, b: usize) -> Result<Option<Batch>> {
+        let env = self.table.storage_env();
+        let Some(filter) = &self.filter else {
+            return part.block_batch(b, env).map(Some);
+        };
+        let checked: Vec<ColumnVector> =
+            filter.columns.iter().map(|&c| part.block_column(c, b, env)).collect::<Result<_>>()?;
+        let checked = Batch::new(checked);
+        if !filter.passes_any(&checked)? {
+            return Ok(None);
+        }
+        let mut checked = filter.columns.iter().copied().zip(checked.into_columns()).peekable();
+        let columns = (0..self.table.schema().len())
+            .map(|c| match checked.next_if(|(checked_c, _)| *checked_c == c) {
+                Some((_, column)) => Ok(column),
+                None => part.block_column(c, b, env),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Some(Batch::new(columns)))
+    }
 }
 
 impl Operator for ScanExec {
@@ -100,7 +184,7 @@ impl Operator for ScanExec {
             enum Step {
                 EndOfPartition,
                 Pruned,
-                Read(Result<Batch>),
+                Read(Result<Option<Batch>>),
             }
             let step = self.table.with_partitions(|parts| {
                 let part = &parts[p];
@@ -117,7 +201,7 @@ impl Operator for ScanExec {
                         return Step::Pruned;
                     }
                 }
-                Step::Read(part.block_batch(b, self.table.storage_env()))
+                Step::Read(self.read_block(part, b))
             });
             match step {
                 Step::EndOfPartition => {
@@ -125,12 +209,22 @@ impl Operator for ScanExec {
                 }
                 Step::Pruned => {
                     self.blocks_pruned += 1;
+                    obs::metrics::EXEC_SCAN_BLOCKS_PRUNED.add(1);
                     self.cursor = (p, b + 1);
                 }
-                Step::Read(batch) => {
-                    self.blocks_read += 1;
+                Step::Read(read) => {
                     self.cursor = (p, b + 1);
-                    return Ok(Some(batch?));
+                    match read? {
+                        Some(batch) => {
+                            self.blocks_read += 1;
+                            obs::metrics::EXEC_SCAN_BLOCKS_READ.add(1);
+                            return Ok(Some(batch));
+                        }
+                        None => {
+                            self.blocks_skipped += 1;
+                            obs::metrics::EXEC_SCAN_BLOCKS_SKIPPED.add(1);
+                        }
+                    }
                 }
             }
         }
@@ -242,5 +336,97 @@ mod tests {
         }
         assert_eq!(n, 16);
         assert_eq!(scan.blocks_pruned, 0);
+    }
+
+    /// Three columns over 4-row blocks in one partition; block `i` holds
+    /// ids `{i, i+4, i+8, i+12}`, so every block's SMA spans most of the
+    /// key range and cannot prune an equality.
+    fn shuffled() -> Arc<Table> {
+        let cfg = EngineConfig { vector_size: 4, partitions: 1, ..Default::default() };
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("v", DataType::Int),
+            ColumnDef::new("w", DataType::Int),
+        ])
+        .unwrap();
+        let t = Arc::new(Table::new("t", schema, &cfg));
+        let ids: Vec<i64> = (0..16).map(|r| (r % 4) * 4 + r / 4).collect();
+        let v = ids.iter().map(|id| id * 10).collect();
+        let w = ids.iter().map(|id| -id).collect();
+        t.append(vec![ColumnVector::Int(ids), ColumnVector::Int(v), ColumnVector::Int(w)]).unwrap();
+        t
+    }
+
+    fn eq(column: usize, value: i64) -> Expr {
+        Expr::binary(BinaryOp::Eq, Expr::col(column), Expr::lit(Value::Int(value)))
+    }
+
+    fn rows(scan: &mut ScanExec) -> Result<Vec<Vec<Value>>> {
+        scan.open()?;
+        let mut rows = Vec::new();
+        while let Some(b) = scan.next()? {
+            rows.extend((0..b.num_rows()).map(|i| b.row(i)));
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn filter_first_skips_blocks_the_sma_cannot_prune() {
+        let pred = PrunePredicate { column: 0, op: BinaryOp::Eq, value: Value::Int(9) };
+        let mut scan = ScanExec::new(shuffled(), vec![pred], None).filter_first(&eq(0, 9));
+        let ids: Vec<Value> = rows(&mut scan).unwrap().into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(scan.blocks_pruned, 0);
+        assert_eq!(scan.blocks_skipped, 3);
+        assert_eq!(scan.blocks_read, 1);
+        // The block is emitted whole: the filter above picks the row.
+        assert_eq!(ids, [1, 5, 9, 13].map(Value::Int));
+    }
+
+    #[test]
+    fn filter_first_reuses_the_checked_column_in_place() {
+        // The check reads column 1 only; the emitted block still lists
+        // every column in table order.
+        let mut scan = ScanExec::new(shuffled(), vec![], None).filter_first(&eq(1, 70));
+        let got = rows(&mut scan).unwrap();
+        let want: Vec<Vec<Value>> = [3, 7, 11, 15]
+            .iter()
+            .map(|&id| vec![id, id * 10, -id].into_iter().map(Value::Int).collect())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!((scan.blocks_skipped, scan.blocks_read), (3, 1));
+    }
+
+    #[test]
+    fn filter_first_fails_with_the_filters_error() {
+        // id / (v - 50): block 0 passes no row, block 1 divides by zero.
+        let pred = Expr::binary(
+            BinaryOp::Gt,
+            Expr::binary(
+                BinaryOp::Div,
+                Expr::col(0),
+                Expr::binary(BinaryOp::Sub, Expr::col(1), Expr::lit(Value::Int(50))),
+            ),
+            Expr::lit(Value::Int(0)),
+        );
+        let t = shuffled();
+        let filter_error = t
+            .with_partitions(|parts| pred.eval(&parts[0].block_batch(1, None).unwrap()))
+            .unwrap_err();
+        let mut scan = ScanExec::new(t, vec![], None).filter_first(&pred);
+        let err = rows(&mut scan).unwrap_err();
+        assert_eq!(err.to_string(), filter_error.to_string());
+        assert_eq!(scan.blocks_skipped, 1);
+    }
+
+    #[test]
+    fn filter_over_every_column_is_not_checked_first() {
+        let all = Expr::binary(
+            BinaryOp::And,
+            eq(0, 9),
+            Expr::binary(BinaryOp::Lt, Expr::col(1), Expr::col(2)),
+        );
+        let mut scan = ScanExec::new(shuffled(), vec![], None).filter_first(&all);
+        assert_eq!(rows(&mut scan).unwrap().len(), 16);
+        assert_eq!((scan.blocks_skipped, scan.blocks_read), (0, 4));
     }
 }

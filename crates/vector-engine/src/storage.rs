@@ -238,8 +238,19 @@ impl Partition {
     /// through the buffer pool.
     pub fn block_batch(&self, b: usize, env: Option<&StorageEnv>) -> Result<Batch> {
         let columns: Result<Vec<ColumnVector>> =
-            self.columns.iter().map(|col| col[b].load(env)).collect();
+            (0..self.columns.len()).map(|c| self.block_column(c, b, env)).collect();
         Ok(Batch::new(columns?))
+    }
+
+    /// The `b`-th block of column `c` alone, so a scan can test a filter
+    /// on its own columns before paying for the block's others.
+    pub fn block_column(
+        &self,
+        c: usize,
+        b: usize,
+        env: Option<&StorageEnv>,
+    ) -> Result<ColumnVector> {
+        self.columns[c][b].load(env)
     }
 
     /// SMA of column `c` in block `b`.

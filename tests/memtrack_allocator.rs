@@ -2,12 +2,25 @@
 //! as the global allocator for this test binary only.
 
 use indb_ml::core::memtrack::{self, TrackingAllocator};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
+/// The tracker's live/peak/baseline counters are process-global, and
+/// `reset_peak` re-baselines them for every thread. The test harness runs
+/// tests on parallel threads, so each test holds this lock for its whole
+/// measurement, or one test's reset lands inside the other's.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters are still valid.
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn peak_accounting_tracks_large_allocations() {
+    let _alone = measure_alone();
     memtrack::reset_peak();
     let before = memtrack::peak_bytes();
     {
@@ -31,6 +44,7 @@ fn approaches_with_larger_working_sets_report_larger_peaks() {
     use indb_ml::core::{Approach, Experiment, ExperimentConfig, Workload};
     use vector_engine::EngineConfig;
 
+    let _alone = measure_alone();
     let config = ExperimentConfig {
         engine: EngineConfig {
             vector_size: 256,
