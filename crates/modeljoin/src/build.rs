@@ -465,7 +465,6 @@ pub fn build_parallel(
     layout: Layout,
     device: &Device,
     vector_size: usize,
-    threads: usize,
 ) -> Result<BuiltModel> {
     if table.schema().len() != layout.column_count() {
         return Err(EngineError::Catalog(format!(
@@ -487,61 +486,34 @@ pub fn build_parallel(
         lens: bufs.iter().map(Vec::len).collect(),
     };
 
-    // Phase 2: parallel fill over the partitions. Under the unified
-    // scheduler each partition is one Query-class task on the shared pool
-    // (disjoint slab rows, so fills never conflict); otherwise the legacy
-    // per-build thread scope runs.
-    let partitions = table.partition_count();
-    if tensor::unified_scheduler() {
-        let mut slots: Vec<Option<Result<()>>> = (0..partitions).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(p, slot)| {
-                let slabs = &slabs;
-                let router = &router;
-                Box::new(move || {
-                    let result = table.partition_batches(p).and_then(|batches| {
-                        for batch in batches {
-                            fill_from_batch(&batch, router, slabs)?;
-                        }
-                        Ok(())
-                    });
-                    *slot = Some(result);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sched::global().run_scoped(sched::TaskClass::Query, tasks)
-        }))
-        .map_err(|_| EngineError::Execution("build worker panicked".into()))?;
-        for slot in slots {
-            slot.expect("every partition task ran")?;
-        }
-    } else {
-        let workers = threads.clamp(1, partitions.max(1));
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let slabs = &slabs;
-                let router = &router;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let mut p = w;
-                    while p < partitions {
-                        for batch in table.partition_batches(p)? {
-                            fill_from_batch(&batch, router, slabs)?;
-                        }
-                        p += workers;
+    // Phase 2: parallel fill over the partitions, each one Query-class
+    // task on the shared pool (disjoint slab rows, so fills never
+    // conflict).
+    let mut slots: Vec<Option<Result<()>>> = (0..table.partition_count()).map(|_| None).collect();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .enumerate()
+        .map(|(p, slot)| {
+            let slabs = &slabs;
+            let router = &router;
+            Box::new(move || {
+                let result = table.partition_batches(p).and_then(|batches| {
+                    for batch in batches {
+                        fill_from_batch(&batch, router, slabs)?;
                     }
                     Ok(())
-                }));
-            }
-            // The join is the single synchronization barrier of Sec. 5.2.
-            for h in handles {
-                h.join().map_err(|_| EngineError::Execution("build worker panicked".into()))??;
-            }
-            Ok(())
-        })?;
+                });
+                *slot = Some(result);
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    // The scope's join is the single synchronization barrier of Sec. 5.2.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sched::global().run_scoped(sched::TaskClass::Query, tasks)
+    }))
+    .map_err(|_| EngineError::Execution("build worker panicked".into()))?;
+    for slot in slots {
+        slot.expect("every partition task ran")?;
     }
 
     // Phase 3: assemble layers — bias replication to vectorsize x m
@@ -834,7 +806,6 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
-    build_threads: usize,
     built: OnceLock<std::result::Result<Arc<BuiltModel>, EngineError>>,
     /// Int8 variant, derived lazily from `built` on the first quantized
     /// query; both dtypes coexist for the lifetime of the handle.
@@ -842,13 +813,18 @@ pub struct SharedModel {
 }
 
 impl SharedModel {
+    /// A handle whose build runs on the first [`SharedModel::get`].
+    /// `_build_threads` is ignored: the build fills its partitions as
+    /// tasks on the shared scheduler, whose pool bounds the concurrency.
+    /// The parameter stays so callers written against the per-build
+    /// thread fan-out keep compiling.
     pub fn new(
         table: Arc<Table>,
         meta: ModelMeta,
         layout: Layout,
         device: Device,
         vector_size: usize,
-        build_threads: usize,
+        _build_threads: usize,
     ) -> Arc<SharedModel> {
         Arc::new(SharedModel {
             table,
@@ -856,7 +832,6 @@ impl SharedModel {
             layout,
             device,
             vector_size,
-            build_threads,
             built: OnceLock::new(),
             quantized: OnceLock::new(),
         })
@@ -880,7 +855,6 @@ impl SharedModel {
             layout,
             device,
             vector_size,
-            build_threads: 1,
             built: OnceLock::new(),
             quantized: OnceLock::new(),
         };
@@ -911,15 +885,8 @@ impl SharedModel {
     pub fn get(&self) -> Result<Arc<BuiltModel>> {
         self.built
             .get_or_init(|| {
-                build_parallel(
-                    &self.table,
-                    &self.meta,
-                    self.layout,
-                    &self.device,
-                    self.vector_size,
-                    self.build_threads,
-                )
-                .map(Arc::new)
+                build_parallel(&self.table, &self.meta, self.layout, &self.device, self.vector_size)
+                    .map(Arc::new)
             })
             .clone()
     }
@@ -949,7 +916,7 @@ mod tests {
             ..Default::default()
         });
         let (table, meta) = load_into_engine(&engine, "m", model, layout).unwrap();
-        let built = build_parallel(&table, &meta, layout, &Device::cpu(), 16, threads).unwrap();
+        let built = build_parallel(&table, &meta, layout, &Device::cpu(), 16).unwrap();
         (built, model.clone())
     }
 
@@ -1015,7 +982,7 @@ mod tests {
         let (table, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
         let gpu = Device::gpu();
         let vector_size = 16;
-        let built = build_parallel(&table, &meta, Layout::NodeId, &gpu, vector_size, 2).unwrap();
+        let built = build_parallel(&table, &meta, Layout::NodeId, &gpu, vector_size).unwrap();
         let report = gpu.report();
         assert!(report.h2d_bytes > 0);
         // Weight bytes + replicated bias bytes.
@@ -1041,7 +1008,7 @@ mod tests {
         let model = paper::dense_model(4, 2, 2);
         let engine = Engine::new(EngineConfig::test_small());
         let (table, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
-        assert!(build_parallel(&table, &meta, Layout::LayerNode, &Device::cpu(), 8, 1).is_err());
+        assert!(build_parallel(&table, &meta, Layout::LayerNode, &Device::cpu(), 8).is_err());
     }
 
     #[test]

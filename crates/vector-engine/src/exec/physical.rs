@@ -4,7 +4,6 @@ use crate::column::Batch;
 use crate::error::Result;
 use crate::exec::agg::HashAggExec;
 use crate::exec::join::{CrossJoinExec, HashJoinExec};
-use crate::exec::rowwise::{RowHashAggExec, RowHashJoinExec};
 use crate::exec::scan::ScanExec;
 use crate::exec::simple::{BatchesExec, FilterExec, LimitExec, ProjectExec, SortExec, ValuesExec};
 use crate::plan::logical::{LogicalPlan, PrunePredicate};
@@ -55,14 +54,6 @@ pub struct ExecContext {
     /// this `[start, end)` block range — one morsel of the unified
     /// scheduler, so a skewed partition splits across stealable tasks.
     pub scan_blocks: Option<(usize, usize)>,
-    /// Unified scheduler pool budget (`EngineConfig::worker_threads`,
-    /// resolved), carried to operators that issue tensor kernels. The
-    /// engine itself never spawns these threads; consumers (the ModelJoin
-    /// crate) hand the value to the kernel dispatch layer.
-    pub worker_threads: usize,
-    /// Build the seed value-at-a-time join/agg operators instead of the
-    /// vectorized ones (`EngineConfig::rowwise_ops`).
-    pub rowwise_ops: bool,
     /// Prune scan blocks by their min/max SMAs and read them filter-first
     /// under the filter directly above the scan
     /// (`EngineConfig::sma_pruning`).
@@ -78,8 +69,6 @@ impl ExecContext {
             vector_size,
             scan_restrict: None,
             scan_blocks: None,
-            worker_threads: 1,
-            rowwise_ops: false,
             sma_pruning: true,
             obs_spans: true,
         }
@@ -91,19 +80,9 @@ impl ExecContext {
             vector_size: config.vector_size,
             scan_restrict: None,
             scan_blocks: None,
-            worker_threads: config.effective_worker_threads(),
-            rowwise_ops: config.rowwise_ops,
             sma_pruning: config.sma_pruning,
             obs_spans: config.obs_spans,
         }
-    }
-
-    pub fn for_partition(
-        config: &crate::config::EngineConfig,
-        table: Arc<Table>,
-        partition: usize,
-    ) -> ExecContext {
-        ExecContext { scan_restrict: Some((table, partition)), ..ExecContext::from_config(config) }
     }
 
     /// Context for one scheduler morsel: a block range within one
@@ -112,11 +91,11 @@ impl ExecContext {
         config: &crate::config::EngineConfig,
         table: Arc<Table>,
         partition: usize,
-        blocks: Option<(usize, usize)>,
+        blocks: (usize, usize),
     ) -> ExecContext {
         ExecContext {
             scan_restrict: Some((table, partition)),
-            scan_blocks: blocks,
+            scan_blocks: Some(blocks),
             ..ExecContext::from_config(config)
         }
     }
@@ -216,32 +195,15 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
         LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } => {
             let (l, r) = (build_operator(left, ctx)?, build_operator(right, ctx)?);
             let (lk, rk) = (left_keys.clone(), right_keys.clone());
-            if ctx.rowwise_ops {
-                Box::new(RowHashJoinExec::new(l, r, lk, rk, ctx.vector_size))
-            } else {
-                Box::new(HashJoinExec::new(l, r, lk, rk, ctx.vector_size))
-            }
+            Box::new(HashJoinExec::new(l, r, lk, rk, ctx.vector_size))
         }
-        LogicalPlan::Aggregate { input, group, aggs, schema } => {
-            let input = build_operator(input, ctx)?;
-            if ctx.rowwise_ops {
-                Box::new(RowHashAggExec::new(
-                    input,
-                    group.clone(),
-                    aggs.clone(),
-                    schema.types(),
-                    ctx.vector_size,
-                ))
-            } else {
-                Box::new(HashAggExec::new(
-                    input,
-                    group.clone(),
-                    aggs.clone(),
-                    schema.types(),
-                    ctx.vector_size,
-                ))
-            }
-        }
+        LogicalPlan::Aggregate { input, group, aggs, schema } => Box::new(HashAggExec::new(
+            build_operator(input, ctx)?,
+            group.clone(),
+            aggs.clone(),
+            schema.types(),
+            ctx.vector_size,
+        )),
         LogicalPlan::Sort { input, keys } => {
             Box::new(SortExec::new(build_operator(input, ctx)?, keys.clone(), ctx.vector_size))
         }

@@ -1,11 +1,12 @@
-//! Equivalence tests pinning the unified-scheduler execution path to
+//! Equivalence tests pinning the scheduler's morsel execution path to
 //! single-thread oracles. Two layers of guarantee:
 //!
-//! 1. **Drop-in**: the same engine config with `unified_sched` on vs off
-//!    must produce *bitwise identical* results (including float bits) —
-//!    the morsel path gathers per-partition output in partition order,
-//!    exactly like the legacy `thread::scope` pool it replaces.
-//! 2. **Semantic**: a multi-partition unified engine must agree with a
+//! 1. **Gather order**: the same 4-partition layout run with
+//!    `parallelism: 4` (morsels on the scheduler) and `parallelism: 1`
+//!    (the serial driver reading the partitions in order) must produce
+//!    *bitwise identical* results, row order and float bits included —
+//!    the morsel path gathers output in (partition, block-range) order.
+//! 2. **Semantic**: a multi-partition parallel engine must agree with a
 //!    single-partition serial engine on every order-insensitive result
 //!    (joins, counts, integer sums, grouped rows after ORDER BY).
 //!
@@ -83,49 +84,38 @@ const QUERIES: &[&str] = &[
     "SELECT id FROM facts ORDER BY id DESC LIMIT 10",
 ];
 
-fn fresh_engine(partitions: usize, unified: bool) -> Engine {
-    Engine::new(EngineConfig {
-        vector_size: 8,
-        partitions,
-        parallelism: 4,
-        unified_sched: unified,
-        ..Default::default()
-    })
+fn fresh_engine(partitions: usize, parallelism: usize) -> Engine {
+    Engine::new(EngineConfig { vector_size: 8, partitions, parallelism, ..Default::default() })
 }
 
-/// Layer 1: scheduler on vs off over the identical multi-partition layout
-/// is bitwise identical — same morsels, same gather order, same float
-/// association. The unified pool is a drop-in replacement.
+/// Layer 1: morsels on the scheduler vs the serial driver over the
+/// identical multi-partition layout are bitwise identical — same row
+/// order, same float bits. The dyadic floats make partial-aggregate
+/// merges exact, so any difference is a gather-order difference.
 #[test]
-fn unified_scheduler_is_bitwise_identical_to_legacy_pool() {
-    let unified = fresh_engine(4, true);
-    let legacy = fresh_engine(4, false);
-    for e in [&unified, &legacy] {
+fn morsel_gather_is_bitwise_identical_to_serial_partition_order() {
+    let parallel = fresh_engine(4, 4);
+    let serial = fresh_engine(4, 1);
+    for e in [&parallel, &serial] {
         load_facts(e, 500, 42);
         load_dims(e, 40, 42);
     }
     for q in QUERIES {
-        let got = canon(unified.execute(q).unwrap().rows());
-        let want = canon(legacy.execute(q).unwrap().rows());
-        assert_eq!(got, want, "unified vs legacy diverged on {q:?}");
+        let got = canon(parallel.execute(q).unwrap().rows());
+        let want = canon(serial.execute(q).unwrap().rows());
+        assert_eq!(got, want, "morsel gather vs serial partition order diverged on {q:?}");
     }
 }
 
-/// Layer 2: a 4-partition unified engine agrees with the 1-partition
+/// Layer 2: a 4-partition parallel engine agrees with the 1-partition
 /// serial oracle. Grouped-float sums may legally reassociate across
 /// partition merges, so float queries are restricted to dyadic values
 /// (exactly representable; the merge adds partial sums of whole groups in
 /// group order on both sides, which for these magnitudes is exact).
 #[test]
-fn unified_multi_partition_matches_serial_oracle() {
-    let parallel = fresh_engine(4, true);
-    let serial = Engine::new(EngineConfig {
-        vector_size: 8,
-        partitions: 1,
-        parallelism: 1,
-        unified_sched: false,
-        ..Default::default()
-    });
+fn multi_partition_matches_serial_oracle() {
+    let parallel = fresh_engine(4, 4);
+    let serial = fresh_engine(1, 1);
     for e in [&parallel, &serial] {
         load_facts(e, 500, 7);
         load_dims(e, 40, 7);
@@ -133,7 +123,7 @@ fn unified_multi_partition_matches_serial_oracle() {
     for q in QUERIES {
         let got = canon_sorted(parallel.execute(q).unwrap().rows());
         let want = canon_sorted(serial.execute(q).unwrap().rows());
-        assert_eq!(got, want, "parallel unified vs serial oracle diverged on {q:?}");
+        assert_eq!(got, want, "parallel vs serial oracle diverged on {q:?}");
     }
 }
 
@@ -149,14 +139,12 @@ fn multi_morsel_partitions_match_serial_oracle() {
         vector_size: 1024,
         partitions: 2,
         parallelism: 4,
-        unified_sched: true,
         ..Default::default()
     });
     let serial = Engine::new(EngineConfig {
         vector_size: 1024,
         partitions: 1,
         parallelism: 1,
-        unified_sched: false,
         ..Default::default()
     });
     for e in [&parallel, &serial] {
