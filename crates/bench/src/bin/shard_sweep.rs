@@ -476,7 +476,6 @@ fn main() {
                     &meta,
                     layout,
                     &Device::cpu(),
-                    engine.config().parallelism,
                 )
                 .expect("sharded modeljoin");
             scatter_cells.push(ScatterCell {

@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tensor::blas::{vs_add, vs_mul, Transpose};
 use tensor::{qgemm_dense, Activation, Device, Matrix, QuantScratch, QuantizedWeights};
+use vector_engine::exec::parallel;
 use vector_engine::{Batch, EngineError, Result, Table};
 
 /// A layer of the built (in-memory) model.
@@ -488,33 +489,14 @@ pub fn build_parallel(
 
     // Phase 2: parallel fill over the partitions, each one Query-class
     // task on the shared pool (disjoint slab rows, so fills never
-    // conflict).
-    let mut slots: Vec<Option<Result<()>>> = (0..table.partition_count()).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .enumerate()
-        .map(|(p, slot)| {
-            let slabs = &slabs;
-            let router = &router;
-            Box::new(move || {
-                let result = table.partition_batches(p).and_then(|batches| {
-                    for batch in batches {
-                        fill_from_batch(&batch, router, slabs)?;
-                    }
-                    Ok(())
-                });
-                *slot = Some(result);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    // The scope's join is the single synchronization barrier of Sec. 5.2.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched::global().run_scoped(sched::TaskClass::Query, tasks)
-    }))
-    .map_err(|_| EngineError::Execution("build worker panicked".into()))?;
-    for slot in slots {
-        slot.expect("every partition task ran")?;
-    }
+    // conflict). The fan-out's join is the single synchronization barrier
+    // of Sec. 5.2.
+    parallel::fan_out(0..table.partition_count(), |p| {
+        for batch in table.partition_batches(p)? {
+            fill_from_batch(&batch, &router, &slabs)?;
+        }
+        Ok(())
+    })?;
 
     // Phase 3: assemble layers — bias replication to vectorsize x m
     // (Sec. 5.4) and, for the GPU variant, one bulk transfer of the whole

@@ -11,7 +11,7 @@
 
 use mlruntime::Session;
 use std::sync::Arc;
-use vector_engine::exec::physical::{drain, Operator};
+use vector_engine::exec::physical::Operator;
 use vector_engine::{Batch, ColumnVector, Engine, EngineError, Result};
 
 /// Inference operator backed by the external runtime's C-API session.
@@ -98,16 +98,21 @@ impl Operator for CapiInferenceOp {
     }
 }
 
-/// Partition-parallel driver, mirroring
-/// [`crate::operator::execute_model_join`]; the session (like the real
-/// runtime's) is shared by all threads.
+/// Partition-parallel C-API inference through the driver ModelJoin uses
+/// ([`crate::operator::execute_per_partition`]); the session (like the
+/// real runtime's) is shared by all partitions.
+///
+/// `_parallelism` is ignored: the scheduler's pool
+/// (`EngineConfig::worker_threads`) bounds the concurrency, as for
+/// [`crate::operator::execute_model_join`]. The parameter stays so callers
+/// written against the per-query thread fan-out keep compiling.
 pub fn execute_capi_join(
     engine: &Engine,
     fact_table: &str,
     input_cols: &[&str],
     payload_cols: &[&str],
     session: &Arc<Session>,
-    parallelism: usize,
+    _parallelism: usize,
 ) -> Result<Vec<Batch>> {
     let input_idx = crate::operator::resolve_columns(engine, fact_table, input_cols)?;
     let payload_idx = crate::operator::resolve_columns(engine, fact_table, payload_cols)?;
@@ -118,49 +123,11 @@ pub fn execute_capi_join(
             input_idx.len()
         )));
     }
-    let fact = engine.table(fact_table)?;
-    let partitions = fact.partition_count();
-    let workers = parallelism.clamp(1, partitions);
-    let mut slots: Vec<Result<Vec<Batch>>> = (0..partitions).map(|_| Ok(Vec::new())).collect();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let input_idx = input_idx.clone();
-            let payload_idx = payload_idx.clone();
-            let session = Arc::clone(session);
-            handles.push(scope.spawn(move || -> Vec<(usize, Result<Vec<Batch>>)> {
-                let mut out = Vec::new();
-                let mut p = w;
-                while p < partitions {
-                    let result = engine.scan_partition(fact_table, p).and_then(|scan| {
-                        let op = CapiInferenceOp::new(
-                            scan,
-                            Arc::clone(&session),
-                            input_idx.clone(),
-                            payload_idx.clone(),
-                        );
-                        drain(Box::new(op))
-                    });
-                    out.push((p, result));
-                    p += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            let results =
-                h.join().map_err(|_| EngineError::Execution("C-API worker panicked".into()))?;
-            for (p, r) in results {
-                slots[p] = r;
-            }
-        }
-        Ok(())
-    })?;
-    let mut out = Vec::new();
-    for s in slots {
-        out.extend(s?);
-    }
-    Ok(out)
+    crate::operator::execute_per_partition(engine, fact_table, |scan| {
+        let op =
+            CapiInferenceOp::new(scan, Arc::clone(session), input_idx.clone(), payload_idx.clone());
+        Box::new(op)
+    })
 }
 
 #[cfg(test)]

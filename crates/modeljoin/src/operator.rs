@@ -3,6 +3,7 @@
 use crate::build::{BuiltModel, InferScratch, QuantInferScratch, QuantizedModel, SharedModel};
 use std::sync::Arc;
 use tensor::Matrix;
+use vector_engine::exec::parallel;
 use vector_engine::exec::physical::{drain, Operator};
 use vector_engine::{Batch, ColumnVector, Engine, EngineError, Result};
 
@@ -182,10 +183,29 @@ pub fn output_names(payload: &[&str], output_dim: usize) -> Vec<String> {
     names
 }
 
+/// The partition-parallel driver both in-engine inference operators
+/// share (paper Sec. 5.2, Sec. 6.1): `make_op` wraps the scan of each
+/// partition of `fact_table` in one operator instance, each drained by a
+/// Query-class task on the shared scheduler; batches gather in partition
+/// order.
+pub(crate) fn execute_per_partition<F>(
+    engine: &Engine,
+    fact_table: &str,
+    make_op: F,
+) -> Result<Vec<Batch>>
+where
+    F: Fn(Box<dyn Operator>) -> Box<dyn Operator> + Sync,
+{
+    let partitions = engine.table(fact_table)?.partition_count();
+    let parts = parallel::fan_out(0..partitions, |p| {
+        drain(make_op(engine.scan_partition(fact_table, p)?))
+    })?;
+    Ok(parts.into_iter().flatten().collect())
+}
+
 /// Partition-parallel ModelJoin execution (paper Sec. 5.2/5.4): one
 /// operator instance per partition of the fact table, all sharing the
-/// model, each a Query-class task on the shared scheduler; batches are
-/// gathered in partition order.
+/// model, run by [`execute_per_partition`].
 ///
 /// `_parallelism` is ignored: the scheduler's pool
 /// (`EngineConfig::worker_threads`) bounds the concurrency. The parameter
@@ -208,7 +228,6 @@ pub fn execute_model_join(
             input_idx.len()
         )));
     }
-    let fact = engine.table(fact_table)?;
     // Apply the engine's thread budget to the kernel dispatch layer so
     // large per-batch multiplies can fan out; the fan-out shares the same
     // worker pool as the partition tasks.
@@ -216,34 +235,10 @@ pub fn execute_model_join(
     // Int8 inference is CPU-only: the quantized kernels have no device
     // path, so a GPU-resident model silently keeps the fp32 route.
     let quantized = engine.config().quantized_inference && !shared.device().is_gpu();
-    let mut slots: Vec<Option<Result<Vec<Batch>>>> =
-        (0..fact.partition_count()).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .enumerate()
-        .map(|(p, slot)| {
-            let input_idx = input_idx.clone();
-            let payload_idx = payload_idx.clone();
-            let shared = Arc::clone(shared);
-            Box::new(move || {
-                let result = engine.scan_partition(fact_table, p).and_then(|scan| {
-                    let op = ModelJoinOp::new(scan, shared, input_idx, payload_idx)
-                        .with_quantized(quantized);
-                    drain(Box::new(op))
-                });
-                *slot = Some(result);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched::global().run_scoped(sched::TaskClass::Query, tasks)
-    }))
-    .map_err(|_| EngineError::Execution("ModelJoin worker panicked".into()))?;
-    let mut out = Vec::new();
-    for s in slots {
-        out.extend(s.expect("every partition task ran")?);
-    }
-    Ok(out)
+    execute_per_partition(engine, fact_table, |scan| {
+        let op = ModelJoinOp::new(scan, Arc::clone(shared), input_idx.clone(), payload_idx.clone());
+        Box::new(op.with_quantized(quantized))
+    })
 }
 
 #[cfg(test)]

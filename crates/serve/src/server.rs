@@ -394,7 +394,7 @@ impl Server {
                     *lock_recover(&self.shared.inflight) += 1;
                     caller_runs = Some((model, queued));
                 } else {
-                    dispatch(&self.shared, model, vec![queued]);
+                    dispatch(&self.shared, model, vec![queued], false);
                 }
             } else {
                 if state.queue.len() >= self.shared.cfg.queue_depth {
@@ -517,19 +517,12 @@ struct PendingBatch {
 /// per-batch inference `catch_unwind` inside [`execute_predict_batch`]) is
 /// caught here so the batch's slots still complete and shutdown's
 /// in-flight wait still terminates.
-fn dispatch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
-    dispatch_inner(shared, model, batch, false);
-}
-
-/// Like [`dispatch`], but skips the worker wakeup: only for the
-/// coordinator's flush-then-help loop, which runs [`sched::Scheduler::help_one`]
-/// once per quiet dispatch right after flushing — waking a worker too
-/// would just lose the claim race and burn a futile park/unpark cycle.
-fn dispatch_quiet(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
-    dispatch_inner(shared, model, batch, true);
-}
-
-fn dispatch_inner(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>, quiet: bool) {
+///
+/// `quiet` skips the worker wakeup: only for the coordinator's
+/// flush-then-help loop, which runs [`sched::Scheduler::help_one`] once
+/// per quiet dispatch right after flushing — waking a worker too would
+/// just lose the claim race and burn a futile park/unpark cycle.
+fn dispatch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>, quiet: bool) {
     *lock_recover(&shared.inflight) += 1;
     let class = if model.is_some() { sched::TaskClass::Serve } else { sched::TaskClass::Query };
     let shared = Arc::clone(shared);
@@ -577,29 +570,23 @@ fn coordinator_loop(shared: &Arc<Shared>) {
     let mut pending: Vec<PendingBatch> = Vec::new();
     let mut state = lock_recover(&shared.state);
     loop {
-        // Route everything queued: SQL straight to the scheduler, predict
-        // requests into their model's pending batch.
+        // Move every queued request into its model's pending batch. Only
+        // batched predicts are ever queued while a coordinator runs:
+        // `enqueue` sends SQL and unbatched predicts straight to the
+        // scheduler.
         while let Some(q) = state.queue.pop_front() {
             om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
-            match &q.work {
-                Work::Sql(_) => dispatch(shared, None, vec![q]),
-                Work::Predict { model, .. } => {
-                    if !shared.cfg.batching {
-                        let model = model.clone();
-                        dispatch(shared, Some(model), vec![q]);
-                        continue;
-                    }
-                    let model = model.clone();
-                    match pending.iter_mut().find(|b| b.model == model) {
-                        Some(b) => b.items.push(q),
-                        None => pending.push(PendingBatch {
-                            model,
-                            items: vec![q],
-                            flush_at: Instant::now()
-                                + Duration::from_micros(shared.cfg.batch_flush_us),
-                        }),
-                    }
-                }
+            let Work::Predict { model, .. } = &q.work else {
+                unreachable!("only batched predicts are queued")
+            };
+            let model = model.clone();
+            match pending.iter_mut().find(|b| b.model == model) {
+                Some(b) => b.items.push(q),
+                None => pending.push(PendingBatch {
+                    model,
+                    items: vec![q],
+                    flush_at: Instant::now() + Duration::from_micros(shared.cfg.batch_flush_us),
+                }),
             }
         }
         // Flush what is ready: full batches (oversized ones split at
@@ -623,7 +610,7 @@ fn coordinator_loop(shared: &Arc<Shared>) {
                 let batch = &mut pending[i];
                 let rest = batch.items.split_off(shared.cfg.max_batch_rows);
                 let full = std::mem::replace(&mut batch.items, rest);
-                dispatch_quiet(shared, Some(batch.model.clone()), full);
+                dispatch(shared, Some(batch.model.clone()), full, true);
                 flushed += 1;
                 if pending[i].items.is_empty() {
                     pending.remove(i);
@@ -634,7 +621,7 @@ fn coordinator_loop(shared: &Arc<Shared>) {
                     om::SERVE_FLUSH_DEADLINE_FIRES.add(1);
                 }
                 let batch = pending.remove(i);
-                dispatch_quiet(shared, Some(batch.model), batch.items);
+                dispatch(shared, Some(batch.model), batch.items, true);
                 flushed += 1;
             } else {
                 i += 1;

@@ -15,18 +15,17 @@ use modeljoin::operator::execute_model_join;
 use modeljoin::SharedModel;
 use obs::metrics as om;
 use tensor::Device;
-use vector_engine::exec::agg::{GroupedAggState, HashAggExec};
+use vector_engine::exec::agg::GroupedAggState;
 use vector_engine::exec::hash::hash_key_columns;
 use vector_engine::exec::join::HashJoinExec;
-use vector_engine::exec::parallel::{self, collect_scan_tables, column_source};
-use vector_engine::exec::physical::{batches_operator, drain};
-use vector_engine::exec::simple::{concat_batches, FilterExec, LimitExec, ProjectExec, SortExec};
-use vector_engine::exec::Operator;
+use vector_engine::exec::parallel::{
+    self, collect_scan_tables, column_source, fan_out, split_tail,
+};
+use vector_engine::exec::physical::{batches_operator, drain, replay};
 use vector_engine::expr::{BinaryOp, Expr};
-use vector_engine::plan::binder::Binder;
 use vector_engine::plan::logical::LogicalPlan;
-use vector_engine::sql::{parse_statement, Statement};
-use vector_engine::storage::{Schema, Table};
+use vector_engine::sql::{parse_statement, AstExpr, Statement};
+use vector_engine::storage::Table;
 use vector_engine::{
     Batch, ColumnVector, DataType, Engine, EngineConfig, EngineError, QueryResult, Result, Value,
 };
@@ -248,11 +247,10 @@ impl ShardedEngine {
         match parse_statement(sql)? {
             Statement::Select(_) => self.select(sql, cached),
             Statement::Insert { table, columns, rows } => {
-                let _ = rows;
-                self.insert(sql, &table, columns.as_deref())
+                self.insert(sql, &table, columns.as_deref(), &rows)
             }
             Statement::DropTable { name, .. } => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for s in &self.shards {
                     last = s.execute(sql)?;
                 }
@@ -269,7 +267,7 @@ impl ShardedEngine {
                 Ok(last)
             }
             Statement::CreateTable { .. } => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for s in &self.shards {
                     last = s.execute(sql)?;
                 }
@@ -282,7 +280,7 @@ impl ShardedEngine {
             // ROLLBACK can resurrect dropped tables and VACUUM relocates
             // chunks, so both invalidate cached routes.
             Statement::Begin => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for (i, s) in self.shards.iter().enumerate() {
                     match s.execute(sql) {
                         Ok(r) => last = r,
@@ -306,7 +304,7 @@ impl ShardedEngine {
             // force-rolled-back and the divergence is surfaced instead
             // of returning a silent partial commit.
             Statement::Commit => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for (i, s) in self.shards.iter().enumerate() {
                     if let Err(e) = s.execute(sql).map(|r| last = r) {
                         // Shards 0..i sealed; shard i's seal failed (its
@@ -350,7 +348,7 @@ impl ShardedEngine {
                 // Every shard is attempted even if one errors, so a
                 // facade ROLLBACK never leaves later shards with open
                 // transactions; the first error still surfaces.
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 let mut first_err = None;
                 for s in &self.shards {
                     match s.execute(sql) {
@@ -371,7 +369,7 @@ impl ShardedEngine {
             }
             Statement::Vacuum => {
                 self.vacuum()?;
-                Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 })
+                Ok(QueryResult::empty(0))
             }
         }
     }
@@ -387,34 +385,23 @@ impl ShardedEngine {
     }
 
     /// `INSERT`: replicated tables get the statement verbatim on every
-    /// shard; sharded tables evaluate the rows once and route each row
-    /// by shard-key hash.
-    fn insert(&self, sql: &str, table: &str, columns: Option<&[String]>) -> Result<QueryResult> {
-        let key = self.shard_key(table);
-        let Some(key) = key else {
+    /// shard; sharded tables evaluate the parsed rows once and route each
+    /// row by shard-key hash.
+    fn insert(
+        &self,
+        sql: &str,
+        table: &str,
+        columns: Option<&[String]>,
+        rows: &[Vec<AstExpr>],
+    ) -> Result<QueryResult> {
+        let Some(key) = self.shard_key(table) else {
             let mut affected = 0;
             for s in &self.shards {
                 affected = s.execute(sql)?.affected;
             }
-            return Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected });
+            return Ok(QueryResult::empty(affected));
         };
-        let Statement::Insert { rows, .. } = parse_statement(sql)? else {
-            return Err(EngineError::Plan("insert statement expected".into()));
-        };
-        let t0 = self.shards[0].table(table)?;
-        let binder = Binder::new(self.shards[0].catalog());
-        let mut evaled = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut vals = Vec::with_capacity(row.len());
-            for e in row {
-                vals.push(binder.eval_const(e)?);
-            }
-            evaled.push(vals);
-        }
-        let evaled = match columns {
-            Some(cols) => reorder_insert(t0.schema(), cols, evaled)?,
-            None => evaled,
-        };
+        let (t0, evaled) = self.shards[0].insert_values(table, columns, rows)?;
         let key_idx = t0
             .schema()
             .index_of(&key)
@@ -436,7 +423,7 @@ impl ShardedEngine {
             om::SHARD_ROWS_PER_SHARD.record(shard_rows.len() as u64);
             affected += shard_rows.len();
         }
-        Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected })
+        Ok(QueryResult::empty(affected))
     }
 
     /// Columnar bulk load, the fast path benchmarks use: one hash pass
@@ -508,7 +495,7 @@ impl ShardedEngine {
         if self.shards.len() == 1 {
             return Ok(Route::Single(0));
         }
-        let (core, _) = peel(plan);
+        let (core, _) = split_tail(plan);
         if let Some(t) = self.pinned_shard(core) {
             return Ok(Route::Single(t));
         }
@@ -631,21 +618,25 @@ impl ShardedEngine {
 
     /// Walk `plan` recording, per global scan ordinal, the hash of a
     /// shard-key equality pin found in some filter above that scan.
-    /// `offset` is the number of scans to the left of this subtree.
-    fn collect_pins(&self, plan: &LogicalPlan, offset: usize, pins: &mut Vec<Option<u64>>) {
+    /// `offset` is the number of scans to the left of this subtree; the
+    /// return value is the number of scans inside it.
+    fn collect_pins(
+        &self,
+        plan: &LogicalPlan,
+        offset: usize,
+        pins: &mut Vec<Option<u64>>,
+    ) -> usize {
         match plan {
             LogicalPlan::Filter { input, predicate } => {
                 let map = self.sharding.read().expect("sharding map poisoned");
-                let mut conjuncts = Vec::new();
-                split_and(predicate, &mut conjuncts);
-                for c in conjuncts {
-                    let Expr::Binary { op: BinaryOp::Eq, left, right } = c else { continue };
+                for c in predicate.split_conjuncts() {
+                    let Expr::Binary { op: BinaryOp::Eq, left, right } = &c else { continue };
                     let (i, v) = match (&**left, &**right) {
                         (Expr::Column(i), Expr::Literal(v))
                         | (Expr::Literal(v), Expr::Column(i)) => (*i, v),
                         _ => continue,
                     };
-                    let Some((scan, table, col)) = trace_to_scan(input, i) else { continue };
+                    let Some((scan, table, col)) = column_source(input, i) else { continue };
                     let is_key = map
                         .get(&table.name().to_ascii_lowercase())
                         .and_then(|key| table.schema().index_of(key))
@@ -655,7 +646,7 @@ impl ShardedEngine {
                     }
                 }
                 drop(map);
-                self.collect_pins(input, offset, pins);
+                self.collect_pins(input, offset, pins)
             }
             LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
@@ -663,10 +654,11 @@ impl ShardedEngine {
             | LogicalPlan::Limit { input, .. } => self.collect_pins(input, offset, pins),
             LogicalPlan::CrossJoin { left, right, .. }
             | LogicalPlan::HashJoin { left, right, .. } => {
-                self.collect_pins(left, offset, pins);
-                self.collect_pins(right, offset + count_scans(left), pins);
+                let nleft = self.collect_pins(left, offset, pins);
+                nleft + self.collect_pins(right, offset + nleft, pins)
             }
-            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Scan { .. } => 1,
+            LogicalPlan::Values { .. } => 0,
         }
     }
 
@@ -678,44 +670,36 @@ impl ShardedEngine {
         T: Send,
         F: Fn(usize, &Engine) -> Result<T> + Sync,
     {
-        let mut slots: Vec<Option<Result<T>>> = (0..self.shards.len()).map(|_| None).collect();
-        {
-            let _span = obs::span(&om::SHARD_GATHER_WAIT_US);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let f = &f;
-                    let shard = &self.shards[i];
-                    Box::new(move || {
-                        *slot = Some(f(i, shard));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_tasks(tasks)?;
-        }
-        slots.into_iter().map(|s| s.expect("every shard task ran")).collect()
+        let _span = obs::span(&om::SHARD_GATHER_WAIT_US);
+        fan_out(self.shards.iter().enumerate(), |(i, shard)| f(i, shard))
+    }
+
+    /// Replay `chain` (outermost first) once over the batches gathered
+    /// from the shards and shape them into the answer of `plan0`.
+    fn finish(
+        &self,
+        plan0: &LogicalPlan,
+        chain: &[&LogicalPlan],
+        batches: Vec<Batch>,
+    ) -> Result<QueryResult> {
+        let out = replay(chain, batches, self.config().vector_size)?;
+        Ok(QueryResult::from_batches(plan0, &out))
     }
 
     fn run_scatter(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
-        let vs = self.config().vector_size;
-        let (_, posts) = peel(plan0);
+        let (_, tail) = split_tail(plan0);
         let results = self.scatter(|_i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let batches = parallel::execute(core, shard.config())?;
+            let batches = parallel::execute(split_tail(&plan).0, shard.config())?;
             om::SHARD_ROWS_PER_SHARD
                 .record(batches.iter().map(Batch::num_rows).sum::<usize>() as u64);
             Ok(batches)
         })?;
-        let gathered: Vec<Batch> = results.into_iter().flatten().collect();
-        let out = apply_posts(&posts, gathered, vs)?;
-        Ok(result_from(plan0, out))
+        self.finish(plan0, &tail, results.into_iter().flatten().collect())
     }
 
     fn run_partial_agg(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
-        let vs = self.config().vector_size;
-        let (core0, posts) = peel(plan0);
+        let (core0, tail) = split_tail(plan0);
         let (upper0, agg0) = split_at(core0, false)
             .ok_or_else(|| EngineError::Execution("partial-agg plan shape vanished".into()))?;
         let LogicalPlan::Aggregate { group: group0, aggs: aggs0, schema, .. } = agg0 else {
@@ -726,8 +710,7 @@ impl ShardedEngine {
         let agg_types: Vec<DataType> = output_types[ngroup..].to_vec();
         let states = self.scatter(|_i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let (_, agg) = split_at(core, false)
+            let (_, agg) = split_at(split_tail(&plan).0, false)
                 .ok_or_else(|| EngineError::Execution("partial-agg plan diverged".into()))?;
             let LogicalPlan::Aggregate { input, group, aggs, .. } = agg else {
                 return Err(EngineError::Execution("partial-agg plan diverged".into()));
@@ -750,15 +733,14 @@ impl ShardedEngine {
             merged.merge(s)?;
         }
         let batch = merged.finalize(ngroup, &output_types)?;
-        let out = apply_chain(&upper0, vec![batch], vs)?;
-        let out = apply_posts(&posts, out, vs)?;
-        Ok(result_from(plan0, out))
+        let chain: Vec<&LogicalPlan> = tail.into_iter().chain(upper0).collect();
+        self.finish(plan0, &chain, vec![batch])
     }
 
     fn run_shuffle(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
         let nshards = self.shards.len();
         let vs = self.config().vector_size;
-        let (core0, posts) = peel(plan0);
+        let (core0, tail) = split_tail(plan0);
         let (upper0, join0) = split_at(core0, true)
             .ok_or_else(|| EngineError::Execution("shuffle-join plan shape vanished".into()))?;
         let LogicalPlan::HashJoin { left: l0, right: r0, left_keys: lk0, right_keys: rk0, .. } =
@@ -773,8 +755,7 @@ impl ShardedEngine {
         let right_sharded = shard_safe(r0, &sharded) == Some(true);
         let parts = self.scatter(|i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let (_, join) = split_at(core, true)
+            let (_, join) = split_at(split_tail(&plan).0, true)
                 .ok_or_else(|| EngineError::Execution("shuffle plan diverged".into()))?;
             let LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } = join else {
                 return Err(EngineError::Execution("shuffle plan diverged".into()));
@@ -808,36 +789,15 @@ impl ShardedEngine {
             }
         }
         // Join each target's bucket pair on the pool; gather in target order.
-        let mut slots: Vec<Option<Result<Vec<Batch>>>> = (0..nshards).map(|_| None).collect();
-        {
+        let joined = {
             let _span = obs::span(&om::SHARD_GATHER_WAIT_US);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .zip(left_t.into_iter().zip(right_t))
-                .map(|(slot, (lb, rb))| {
-                    let lk = lk0.clone();
-                    let rk = rk0.clone();
-                    Box::new(move || {
-                        let op: Box<dyn Operator> = Box::new(HashJoinExec::new(
-                            batches_operator(lb),
-                            batches_operator(rb),
-                            lk,
-                            rk,
-                            vs,
-                        ));
-                        *slot = Some(drain(op));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_tasks(tasks)?;
-        }
-        let mut joined = Vec::new();
-        for s in slots {
-            joined.extend(s.expect("every shuffle target ran")?);
-        }
-        let out = apply_chain(&upper0, joined, vs)?;
-        let out = apply_posts(&posts, out, vs)?;
-        Ok(result_from(plan0, out))
+            fan_out(left_t.into_iter().zip(right_t), |(lb, rb)| {
+                let (l, r) = (batches_operator(lb), batches_operator(rb));
+                drain(Box::new(HashJoinExec::new(l, r, lk0.clone(), rk0.clone(), vs)))
+            })?
+        };
+        let chain: Vec<&LogicalPlan> = tail.into_iter().chain(upper0).collect();
+        self.finish(plan0, &chain, joined.into_iter().flatten().collect())
     }
 
     /// Scatter-gather ModelJoin: the inference operator runs per shard
@@ -853,54 +813,28 @@ impl ShardedEngine {
         meta: &ModelMeta,
         layout: Layout,
         device: &Device,
-        parallelism: usize,
     ) -> Result<Vec<Batch>> {
-        let vs = self.config().vector_size;
-        let fact_sharded = self.shard_key(fact_table).is_some();
-        if !fact_sharded || self.shards.len() == 1 {
-            // Replicated fact table: one shard holds everything; running
-            // the scatter would return every row N times.
-            let shard = &self.shards[0];
+        // The trailing thread counts are ignored by both callees: the
+        // shared scheduler's pool bounds the concurrency.
+        let parallelism = self.config().parallelism;
+        let join_on = |shard: &Engine| {
             let shared = SharedModel::new(
                 shard.table(model_table)?,
                 meta.clone(),
                 layout,
                 device.clone(),
-                vs,
+                shard.config().vector_size,
                 parallelism,
             );
-            return execute_model_join(
-                shard,
-                fact_table,
-                input_cols,
-                payload_cols,
-                &shared,
-                parallelism,
-            );
+            execute_model_join(shard, fact_table, input_cols, payload_cols, &shared, parallelism)
+        };
+        if self.shard_key(fact_table).is_none() || self.shards.len() == 1 {
+            // Replicated fact table: one shard holds everything; running
+            // the scatter would return every row N times.
+            return join_on(&self.shards[0]);
         }
-        let shareds: Vec<Arc<SharedModel>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                Ok(SharedModel::new(
-                    s.table(model_table)?,
-                    meta.clone(),
-                    layout,
-                    device.clone(),
-                    vs,
-                    parallelism,
-                ))
-            })
-            .collect::<Result<_>>()?;
-        let results = self.scatter(|i, shard| {
-            let batches = execute_model_join(
-                shard,
-                fact_table,
-                input_cols,
-                payload_cols,
-                &shareds[i],
-                parallelism,
-            )?;
+        let results = self.scatter(|_i, shard| {
+            let batches = join_on(shard)?;
             om::SHARD_ROWS_PER_SHARD
                 .record(batches.iter().map(Batch::num_rows).sum::<usize>() as u64);
             Ok(batches)
@@ -928,57 +862,6 @@ fn load_sharding_map(root: &Path) -> Result<HashMap<String, String>> {
     Ok(map)
 }
 
-/// Run borrowed tasks on the global scheduler as `Query`-class work,
-/// converting a task panic into an execution error (same contract as the
-/// partition-parallel layer).
-fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) -> Result<()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched::global().run_scoped(sched::TaskClass::Query, tasks)
-    }))
-    .map_err(|_| EngineError::Execution("shard worker panicked".into()))
-}
-
-/// Top-of-plan operators that must run once at the facade, outermost
-/// first. A per-shard `LIMIT` could truncate the global answer and a
-/// per-shard `ORDER BY` does not survive the gather concatenation, so
-/// both are peeled before shard execution and replayed after it.
-enum Post<'p> {
-    Sort(&'p [(Expr, bool)]),
-    Limit(u64),
-}
-
-fn peel(plan: &LogicalPlan) -> (&LogicalPlan, Vec<Post<'_>>) {
-    let mut posts = Vec::new();
-    let mut node = plan;
-    loop {
-        match node {
-            LogicalPlan::Sort { input, keys } => {
-                posts.push(Post::Sort(keys));
-                node = input;
-            }
-            LogicalPlan::Limit { input, n } => {
-                posts.push(Post::Limit(*n));
-                node = input;
-            }
-            _ => return (node, posts),
-        }
-    }
-}
-
-fn apply_posts(posts: &[Post], batches: Vec<Batch>, vector_size: usize) -> Result<Vec<Batch>> {
-    if posts.is_empty() {
-        return Ok(batches);
-    }
-    let mut op: Box<dyn Operator> = batches_operator(batches);
-    for p in posts.iter().rev() {
-        op = match p {
-            Post::Sort(keys) => Box::new(SortExec::new(op, keys.to_vec(), vector_size)),
-            Post::Limit(n) => Box::new(LimitExec::new(op, *n)),
-        };
-    }
-    drain(op)
-}
-
 /// Split the unary operator chain above the first aggregate (`want_join ==
 /// false`) or hash join (`want_join == true`). Returns the chain outermost
 /// first plus the target node; `None` if the walk hits anything else
@@ -1001,41 +884,6 @@ fn split_at(core: &LogicalPlan, want_join: bool) -> Option<(Vec<&LogicalPlan>, &
             _ => return None,
         }
     }
-}
-
-/// Replay a peeled unary chain over gathered batches by rebuilding the
-/// corresponding physical operators (single-threaded, at the facade).
-fn apply_chain(
-    upper: &[&LogicalPlan],
-    batches: Vec<Batch>,
-    vector_size: usize,
-) -> Result<Vec<Batch>> {
-    let mut op: Box<dyn Operator> = batches_operator(batches);
-    for node in upper.iter().rev() {
-        op = match node {
-            LogicalPlan::Filter { predicate, .. } => {
-                Box::new(FilterExec::new(op, predicate.clone()))
-            }
-            LogicalPlan::Project { exprs, .. } => Box::new(ProjectExec::new(op, exprs.clone())),
-            LogicalPlan::Sort { keys, .. } => {
-                Box::new(SortExec::new(op, keys.clone(), vector_size))
-            }
-            LogicalPlan::Limit { n, .. } => Box::new(LimitExec::new(op, *n)),
-            LogicalPlan::Aggregate { group, aggs, schema, .. } => Box::new(HashAggExec::new(
-                op,
-                group.clone(),
-                aggs.clone(),
-                schema.types(),
-                vector_size,
-            )),
-            _ => {
-                return Err(EngineError::Execution(
-                    "unexpected operator in gathered upper chain".into(),
-                ))
-            }
-        };
-    }
-    drain(op)
 }
 
 /// Hash-partition batches by join-key hash into `nshards` buckets — the
@@ -1110,7 +958,7 @@ fn shard_safe(plan: &LogicalPlan, sharded: &[ShardedScan]) -> Option<bool> {
                 if let Expr::Column(i) = g {
                     matches!(
                         column_source(input, *i),
-                        Some((src, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &src)
+                        Some((_, src, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &src)
                             && (s.key == c || src.is_unique_column(c)))
                     )
                 } else {
@@ -1158,65 +1006,10 @@ fn traces_to_shard_key(side: &LogicalPlan, expr: &Expr, sharded: &[ShardedScan])
     if let Expr::Column(i) = expr {
         matches!(
             column_source(side, *i),
-            Some((t, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &t) && s.key == c)
+            Some((_, t, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &t) && s.key == c)
         )
     } else {
         false
-    }
-}
-
-/// Flatten a conjunction into its `AND`-free conjuncts.
-fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::Binary { op: BinaryOp::And, left, right } = e {
-        split_and(left, out);
-        split_and(right, out);
-    } else {
-        out.push(e);
-    }
-}
-
-fn count_scans(plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::Scan { .. } => 1,
-        LogicalPlan::Values { .. } => 0,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => count_scans(input),
-        LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            count_scans(left) + count_scans(right)
-        }
-    }
-}
-
-/// Trace output column `idx` of `plan` to the scan instance it passes
-/// through: `(scan ordinal within this subtree, table, base column)`.
-/// Scan ordinals follow the left-to-right DFS order of
-/// [`collect_scan_tables`].
-fn trace_to_scan(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => Some((0, Arc::clone(table), idx)),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => trace_to_scan(input, idx),
-        LogicalPlan::Project { input, exprs, .. } => match exprs.get(idx)? {
-            Expr::Column(i) => trace_to_scan(input, *i),
-            _ => None,
-        },
-        LogicalPlan::Aggregate { input, group, .. } => match group.get(idx)? {
-            Expr::Column(i) => trace_to_scan(input, *i),
-            _ => None,
-        },
-        LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            let nleft = left.schema().len();
-            if idx < nleft {
-                trace_to_scan(left, idx)
-            } else {
-                trace_to_scan(right, idx - nleft).map(|(s, t, c)| (s + count_scans(left), t, c))
-            }
-        }
-        LogicalPlan::Values { .. } => None,
     }
 }
 
@@ -1232,53 +1025,6 @@ fn value_hash(v: &Value) -> u64 {
     let mut hashes = Vec::new();
     hash_key_columns(std::slice::from_ref(&col), 1, &mut hashes);
     hashes[0]
-}
-
-/// Reorder `INSERT (cols...) VALUES` rows into schema order (same
-/// contract as the single engine: the list must cover every column).
-fn reorder_insert(
-    schema: &Schema,
-    cols: &[String],
-    rows: Vec<Vec<Value>>,
-) -> Result<Vec<Vec<Value>>> {
-    if cols.len() != schema.len() {
-        return Err(EngineError::Catalog(format!(
-            "INSERT column list must cover all {} columns (no NULL/default support)",
-            schema.len()
-        )));
-    }
-    let mut positions = Vec::with_capacity(cols.len());
-    for c in cols {
-        positions.push(
-            schema
-                .index_of(c)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))?,
-        );
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != positions.len() {
-            return Err(EngineError::Catalog("INSERT row arity mismatch".into()));
-        }
-        let mut reordered = vec![Value::Int(0); row.len()];
-        for (value, &pos) in row.into_iter().zip(&positions) {
-            reordered[pos] = value;
-        }
-        out.push(reordered);
-    }
-    Ok(out)
-}
-
-fn result_from(plan0: &LogicalPlan, batches: Vec<Batch>) -> QueryResult {
-    let names = plan0.schema().fields.iter().map(|f| f.name.clone()).collect();
-    let types = plan0.schema().types();
-    let b = concat_batches(&batches);
-    let columns = if b.num_columns() == 0 {
-        types.into_iter().map(ColumnVector::empty).collect()
-    } else {
-        b.into_columns()
-    };
-    QueryResult { names, columns, affected: 0 }
 }
 
 #[cfg(test)]
@@ -1493,6 +1239,31 @@ mod tests {
         e.execute("INSERT INTO t (v, id) VALUES (9.5, 9)").unwrap();
         let r = e.execute("SELECT v FROM t WHERE id = 9").unwrap();
         assert_eq!(r.row(0), vec![Value::Float(9.5)]);
+    }
+
+    /// A sharded query that selects no row returns one typed, empty
+    /// column per output name on the routed and on the scatter path.
+    #[test]
+    fn empty_select_returns_typed_empty_columns_on_every_route() {
+        let e = engine(3);
+        e.execute("CREATE TABLE t (id INT, x FLOAT)").unwrap();
+        e.declare_sharded("t", "id").unwrap();
+        e.execute("INSERT INTO t VALUES (1, 0.5), (2, 1.5), (3, 2.5)").unwrap();
+        for (sql, routed) in [
+            ("SELECT id, x FROM t WHERE id = 99", true),
+            ("SELECT id, x FROM t WHERE x > 99.0", false),
+            ("SELECT id, x FROM t WHERE x > 99.0 ORDER BY id", false),
+        ] {
+            let route = e.route(sql).unwrap();
+            assert_eq!(matches!(route, Route::Single(_)), routed, "{sql}: {route:?}");
+            assert_eq!(route == Route::Scatter, !routed, "{sql}: {route:?}");
+            let q = e.execute(sql).unwrap();
+            assert_eq!(q.names, vec!["id", "x"], "{sql}");
+            assert_eq!(q.num_columns(), q.names.len(), "{sql}");
+            assert_eq!(q.num_rows(), 0, "{sql}");
+            assert_eq!(q.column("id").unwrap(), &ColumnVector::Int(Vec::new()), "{sql}");
+            assert_eq!(q.column("x").unwrap(), &ColumnVector::Float(Vec::new()), "{sql}");
+        }
     }
 
     #[test]

@@ -260,8 +260,7 @@ mod model_join {
                 e.insert_columns("facts", fact_columns(n, input_dim, seed)).unwrap();
                 let meta = load_model_sharded(&e, &model, layout);
                 let got = e.model_join(
-                    "facts", &input_refs, &["id"], "m", &meta, layout,
-                    &Device::cpu(), e.config().parallelism,
+                    "facts", &input_refs, &["id"], "m", &meta, layout, &Device::cpu(),
                 ).unwrap();
                 proptest::prop_assert_eq!(
                     sorted_batch_rows(&got), expect_rows.clone(), "shards={}", shards

@@ -122,12 +122,6 @@ impl EngineConfig {
         EngineConfig { vector_size: 4, partitions: 3, parallelism: 2, ..Default::default() }
     }
 
-    /// Serial execution (one partition, one thread) — the baseline for the
-    /// parallelism ablation.
-    pub fn serial() -> Self {
-        EngineConfig { partitions: 1, parallelism: 1, ..Default::default() }
-    }
-
     /// The scheduler pool size this configuration asks for: the explicit
     /// [`EngineConfig::worker_threads`] value, or the machine's available
     /// parallelism when it is 0 (auto). Always ≥ 1.

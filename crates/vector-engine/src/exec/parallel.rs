@@ -22,8 +22,8 @@
 //! order); floating-point sums may differ from serial execution in the
 //! last bits because partials reassociate the additions.
 //!
-//! Top-level `ORDER BY` / `LIMIT` are peeled off and applied serially over
-//! the gathered partition results.
+//! Top-level `ORDER BY` / `LIMIT` are peeled off ([`split_tail`]) and
+//! replayed serially over the gathered partition results.
 //!
 //! The unit of parallelism is the **morsel** — a block range within one
 //! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
@@ -38,8 +38,7 @@ use crate::column::Batch;
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::exec::agg::GroupedAggState;
-use crate::exec::physical::{batches_operator, build_operator, drain, ExecContext, Operator};
-use crate::exec::simple::{LimitExec, SortExec};
+use crate::exec::physical::{build_operator, drain, replay, ExecContext};
 use crate::expr::Expr;
 use crate::plan::logical::{AggSpec, LogicalPlan};
 use crate::storage::Table;
@@ -55,23 +54,7 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
     // Grow-only and cheap when already satisfied; direct callers (tests,
     // benches) get a sized pool without an Engine.
     sched::configure_workers(config.effective_worker_threads());
-    // Peel the serial tail.
-    let mut post: Vec<PostOp> = Vec::new();
-    let mut core = plan;
-    loop {
-        match core {
-            LogicalPlan::Sort { input, keys } => {
-                post.push(PostOp::Sort(keys.clone()));
-                core = input;
-            }
-            LogicalPlan::Limit { input, n } => {
-                post.push(PostOp::Limit(*n));
-                core = input;
-            }
-            _ => break,
-        }
-    }
-
+    let (core, tail) = split_tail(plan);
     let target = if config.parallelism > 1 { choose_partition_table(core) } else { None };
 
     let batches = match target {
@@ -84,20 +67,22 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
         },
     };
 
-    // Apply the peeled tail serially (innermost first).
-    let mut op: Box<dyn Operator> = batches_operator(batches);
-    for p in post.into_iter().rev() {
-        op = match p {
-            PostOp::Sort(keys) => Box::new(SortExec::new(op, keys, config.vector_size)),
-            PostOp::Limit(n) => Box::new(LimitExec::new(op, n)),
-        };
-    }
-    drain(op)
+    replay(&tail, batches, config.vector_size)
 }
 
-enum PostOp {
-    Sort(Vec<(Expr, bool)>),
-    Limit(u64),
+/// Peel the top-of-plan `ORDER BY` / `LIMIT` chain: the core below it and
+/// the peeled nodes, outermost first. A per-partition (or per-shard)
+/// `LIMIT` could truncate the global answer and a per-partition `ORDER BY`
+/// does not survive the gather, so both run once over the gathered
+/// batches through [`replay`].
+pub fn split_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
+    let mut tail = Vec::new();
+    let mut core = plan;
+    while let LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } = core {
+        tail.push(core);
+        core = input;
+    }
+    (core, tail)
 }
 
 /// The morsel list for `table`: `(partition, [start, end) block range)`
@@ -119,13 +104,33 @@ fn build_morsels(table: &Arc<Table>, config: &EngineConfig) -> Vec<(usize, (usiz
     morsels
 }
 
-/// Run borrowed tasks on the global scheduler as Query-class work,
-/// converting a task panic into an execution error.
-fn run_on_scheduler(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) -> Result<()> {
+/// Run `f` once per input, each call a Query-class task on the shared
+/// scheduler (the caller helps run them), and gather the results in input
+/// order. The first error in input order wins; a panicking task becomes
+/// an execution error. Every parallel fan-out of a query — morsels,
+/// partial aggregates, shards, ModelJoin partitions and its build — runs
+/// through here.
+pub fn fan_out<I, T, F>(inputs: impl IntoIterator<Item = I>, f: F) -> Result<Vec<T>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> Result<T> + Sync,
+{
+    let inputs: Vec<I> = inputs.into_iter().collect();
+    let mut slots: Vec<Option<Result<T>>> = (0..inputs.len()).map(|_| None).collect();
+    let f = &f;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .zip(inputs)
+        .map(|(slot, input)| {
+            Box::new(move || *slot = Some(f(input))) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sched::global().run_scoped(sched::TaskClass::Query, tasks)
     }))
-    .map_err(|_| EngineError::Execution("parallel worker panicked".into()))
+    .map_err(|_| EngineError::Execution("parallel worker panicked".into()))?;
+    slots.into_iter().map(|s| s.expect("every task ran")).collect()
 }
 
 /// If `core` is an aggregation that the group-on-unique-key rule rejects
@@ -160,25 +165,13 @@ fn execute_partial_agg(
     let ngroup = group.len();
     let agg_types = &output_types[ngroup..];
 
-    let morsels = build_morsels(table, config);
-    let mut states: Vec<Option<Result<GroupedAggState>>> =
-        (0..morsels.len()).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = states
-        .iter_mut()
-        .zip(&morsels)
-        .map(|(slot, &(p, range))| {
-            let table = Arc::clone(table);
-            Box::new(move || {
-                let ctx = ExecContext::for_morsel(config, table, p, range);
-                *slot = Some(morsel_state(input, group, aggs, agg_types, &ctx));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_on_scheduler(tasks)?;
-
+    let states = fan_out(build_morsels(table, config), |(p, range)| {
+        let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, range);
+        morsel_state(input, group, aggs, agg_types, &ctx)
+    })?;
     let mut merged = GroupedAggState::new(aggs, agg_types);
     for state in states {
-        merged.merge(state.expect("every morsel task ran")?)?;
+        merged.merge(state)?;
     }
     let result = merged.finalize(ngroup, output_types)?;
 
@@ -221,26 +214,11 @@ fn execute_morsels(
     table: &Arc<Table>,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    let morsels = build_morsels(table, config);
-    let mut slots: Vec<Option<Result<Vec<Batch>>>> = (0..morsels.len()).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .zip(&morsels)
-        .map(|(slot, &(p, range))| {
-            let table = Arc::clone(table);
-            Box::new(move || {
-                let ctx = ExecContext::for_morsel(config, table, p, range);
-                *slot = Some(build_operator(plan, &ctx).and_then(drain));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_on_scheduler(tasks)?;
-
-    let mut out = Vec::new();
-    for slot in slots {
-        out.extend(slot.expect("every morsel task ran")?);
-    }
-    Ok(out)
+    let parts = fan_out(build_morsels(table, config), |(p, range)| {
+        let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, range);
+        build_operator(plan, &ctx).and_then(drain)
+    })?;
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// Pick the table to partition: the largest multi-partition scanned table
@@ -295,7 +273,7 @@ fn is_safe(plan: &LogicalPlan, table: &Arc<Table>) -> bool {
                 if let Expr::Column(i) = g {
                     matches!(
                         column_source(input, *i),
-                        Some((src, col)) if Arc::ptr_eq(&src, table)
+                        Some((_, src, col)) if Arc::ptr_eq(&src, table)
                             && src.is_unique_column(col)
                     )
                 } else {
@@ -315,12 +293,14 @@ fn is_safe(plan: &LogicalPlan, table: &Arc<Table>) -> bool {
 }
 
 /// Trace an output column of `plan` back to a base table column, if the
-/// lineage is a pure passthrough. Public for the shard planner, which
+/// lineage is a pure passthrough: `(scan ordinal, table, column)`, where
+/// the ordinal numbers the scans of `plan` left to right in
+/// [`collect_scan_tables`] order. Public for the shard planner, which
 /// needs the same lineage argument to decide whether a group key or an
-/// equality predicate pins the sharding column.
-pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(Arc<Table>, usize)> {
+/// equality predicate pins the sharding column of one scan instance.
+pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
     match plan {
-        LogicalPlan::Scan { table, .. } => Some((Arc::clone(table), idx)),
+        LogicalPlan::Scan { table, .. } => Some((0, Arc::clone(table), idx)),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Limit { input, .. } => column_source(input, idx),
@@ -333,7 +313,10 @@ pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(Arc<Table>, usiz
             if idx < nleft {
                 column_source(left, idx)
             } else {
-                column_source(right, idx - nleft)
+                let (scan, table, col) = column_source(right, idx - nleft)?;
+                let mut left_scans = Vec::new();
+                collect_scan_tables(left, &mut left_scans);
+                Some((scan + left_scans.len(), table, col))
             }
         }
         LogicalPlan::Aggregate { input, group, .. } => match group.get(idx)? {

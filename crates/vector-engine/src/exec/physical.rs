@@ -1,7 +1,7 @@
 //! The Volcano operator interface and the logical→physical translation.
 
 use crate::column::Batch;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::exec::agg::HashAggExec;
 use crate::exec::join::{CrossJoinExec, HashJoinExec};
 use crate::exec::scan::ScanExec;
@@ -182,10 +182,7 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
                 }
                 _ => build_operator(input, ctx)?,
             };
-            Box::new(FilterExec::new(input, predicate.clone()))
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            Box::new(ProjectExec::new(build_operator(input, ctx)?, exprs.clone()))
+            unary_operator(plan, input, ctx.vector_size)?
         }
         LogicalPlan::CrossJoin { left, right, .. } => Box::new(CrossJoinExec::new(
             build_operator(left, ctx)?,
@@ -197,27 +194,65 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
             let (lk, rk) = (left_keys.clone(), right_keys.clone());
             Box::new(HashJoinExec::new(l, r, lk, rk, ctx.vector_size))
         }
-        LogicalPlan::Aggregate { input, group, aggs, schema } => Box::new(HashAggExec::new(
-            build_operator(input, ctx)?,
-            group.clone(),
-            aggs.clone(),
-            schema.types(),
-            ctx.vector_size,
-        )),
-        LogicalPlan::Sort { input, keys } => {
-            Box::new(SortExec::new(build_operator(input, ctx)?, keys.clone(), ctx.vector_size))
-        }
-        LogicalPlan::Limit { input, n } => {
-            Box::new(LimitExec::new(build_operator(input, ctx)?, *n))
-        }
         LogicalPlan::Values { rows, schema } => {
             Box::new(ValuesExec::new(rows.clone(), schema.types()))
+        }
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => {
+            unary_operator(plan, build_operator(input, ctx)?, ctx.vector_size)?
         }
     })
 }
 
-/// Wrap pre-computed batches as an operator (used by the parallel driver to
-/// apply the serial tail of a plan over gathered partition results).
+/// The operator of a unary plan node (filter, project, aggregate, sort or
+/// limit) over `input`, which stands in for the node's own input.
+fn unary_operator(
+    node: &LogicalPlan,
+    input: Box<dyn Operator>,
+    vector_size: usize,
+) -> Result<Box<dyn Operator>> {
+    Ok(match node {
+        LogicalPlan::Filter { predicate, .. } => {
+            Box::new(FilterExec::new(input, predicate.clone()))
+        }
+        LogicalPlan::Project { exprs, .. } => Box::new(ProjectExec::new(input, exprs.clone())),
+        LogicalPlan::Aggregate { group, aggs, schema, .. } => Box::new(HashAggExec::new(
+            input,
+            group.clone(),
+            aggs.clone(),
+            schema.types(),
+            vector_size,
+        )),
+        LogicalPlan::Sort { keys, .. } => Box::new(SortExec::new(input, keys.clone(), vector_size)),
+        LogicalPlan::Limit { n, .. } => Box::new(LimitExec::new(input, *n)),
+        _ => {
+            return Err(EngineError::Execution(
+                "only a unary operator can be replayed over gathered batches".into(),
+            ))
+        }
+    })
+}
+
+/// Replay a chain of unary plan nodes, outermost first, over batches
+/// already gathered from parallel tasks: the serial tail the
+/// partition-parallel driver and the shard facade run once after their
+/// gather.
+pub fn replay(
+    chain: &[&LogicalPlan],
+    batches: Vec<Batch>,
+    vector_size: usize,
+) -> Result<Vec<Batch>> {
+    let mut op = batches_operator(batches);
+    for node in chain.iter().rev() {
+        op = unary_operator(node, op, vector_size)?;
+    }
+    drain(op)
+}
+
+/// Wrap pre-computed batches as an operator (the input of a [`replay`]ed
+/// chain, or of a shuffle join over exchanged buckets).
 pub fn batches_operator(batches: Vec<Batch>) -> Box<dyn Operator> {
     Box::new(BatchesExec::new(batches))
 }

@@ -1,7 +1,7 @@
 //! The engine facade: SQL execution and programmatic table access.
 
 use crate::catalog::Catalog;
-use crate::column::ColumnVector;
+use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel;
@@ -11,7 +11,7 @@ use crate::exec::simple::concat_batches;
 use crate::plan::binder::Binder;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::optimizer::Optimizer;
-use crate::sql::{parse_statement, Statement};
+use crate::sql::{parse_statement, AstExpr, Statement};
 use crate::storage::{ColumnDef, Schema, Table};
 use crate::types::{DataType, Value};
 use parking_lot::Mutex;
@@ -30,8 +30,25 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn empty(affected: usize) -> QueryResult {
+    /// The result of a statement that returns no columns (DDL, DML,
+    /// transaction control); `affected` counts the rows it changed.
+    pub fn empty(affected: usize) -> QueryResult {
         QueryResult { names: Vec::new(), columns: Vec::new(), affected }
+    }
+
+    /// The result of the query `plan` from its gathered batches. A query
+    /// that produced no rows still has one typed, empty column per output
+    /// name.
+    pub fn from_batches(plan: &LogicalPlan, batches: &[Batch]) -> QueryResult {
+        let schema = plan.schema();
+        let names = schema.fields.iter().map(|f| f.name.clone()).collect();
+        let all = concat_batches(batches);
+        let columns = if all.num_columns() == 0 {
+            schema.types().into_iter().map(ColumnVector::empty).collect()
+        } else {
+            all.into_columns()
+        };
+        QueryResult { names, columns, affected: 0 }
     }
 
     pub fn num_rows(&self) -> usize {
@@ -303,21 +320,9 @@ impl Engine {
                 Ok(QueryResult::empty(0))
             }
             Statement::Insert { table, columns, rows } => {
-                let t = self.catalog.table(&table)?;
-                let binder = Binder::new(&self.catalog);
-                let mut value_rows = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let values: Result<Vec<Value>> =
-                        row.iter().map(|e| binder.eval_const(e)).collect();
-                    value_rows.push(values?);
-                }
-                let value_rows = match &columns {
-                    None => value_rows,
-                    Some(cols) => reorder_insert(&t, cols, value_rows)?,
-                };
-                let n = value_rows.len();
+                let (t, value_rows) = self.insert_values(&table, columns.as_deref(), &rows)?;
                 t.append_rows(&value_rows)?;
-                Ok(QueryResult::empty(n))
+                Ok(QueryResult::empty(value_rows.len()))
             }
             Statement::DropTable { name, if_exists } => {
                 self.catalog.drop_table(&name, if_exists)?;
@@ -356,10 +361,53 @@ impl Engine {
 
     /// Execute an already-optimized logical plan.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult> {
-        let batches = parallel::execute(plan, &self.config)?;
-        let all = concat_batches(&batches);
-        let names = plan.schema().fields.iter().map(|f| f.name.clone()).collect();
-        Ok(QueryResult { names, columns: all.into_columns(), affected: 0 })
+        Ok(QueryResult::from_batches(plan, &parallel::execute(plan, &self.config)?))
+    }
+
+    /// Evaluate the `VALUES` rows of `INSERT INTO table [(columns)]` into
+    /// the table's schema order, without appending them. An explicit
+    /// column list must name every column once (there is no NULL or
+    /// default). The sharded facade routes the returned rows by key.
+    pub fn insert_values(
+        &self,
+        table: &str,
+        columns: Option<&[String]>,
+        rows: &[Vec<AstExpr>],
+    ) -> Result<(Arc<Table>, Vec<Vec<Value>>)> {
+        let t = self.catalog.table(table)?;
+        let binder = Binder::new(&self.catalog);
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|row| row.iter().map(|e| binder.eval_const(e)).collect())
+            .collect::<Result<_>>()?;
+        let Some(cols) = columns else { return Ok((t, rows)) };
+        let schema = t.schema();
+        if cols.len() != schema.len() {
+            return Err(EngineError::Catalog(format!(
+                "INSERT column list must cover all {} columns (no NULL/default support)",
+                schema.len()
+            )));
+        }
+        let positions: Vec<usize> = cols
+            .iter()
+            .map(|c| {
+                schema
+                    .index_of(c)
+                    .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))
+            })
+            .collect::<Result<_>>()?;
+        let mut out = Vec::with_capacity(rows.len());
+        for row in rows {
+            if row.len() != positions.len() {
+                return Err(EngineError::Catalog("INSERT row arity mismatch".into()));
+            }
+            let mut reordered = vec![Value::Int(0); row.len()];
+            for (value, &pos) in row.into_iter().zip(&positions) {
+                reordered[pos] = value;
+            }
+            out.push(reordered);
+        }
+        Ok((t, out))
     }
 
     /// Create a table programmatically.
@@ -405,40 +453,6 @@ impl Engine {
         let plan = self.plan(sql)?;
         build_operator(&plan, &ExecContext::from_config(&self.config))
     }
-}
-
-fn reorder_insert(
-    table: &Table,
-    cols: &[String],
-    rows: Vec<Vec<Value>>,
-) -> Result<Vec<Vec<Value>>> {
-    let schema = table.schema();
-    if cols.len() != schema.len() {
-        return Err(EngineError::Catalog(format!(
-            "INSERT column list must cover all {} columns (no NULL/default support)",
-            schema.len()
-        )));
-    }
-    let mut positions = Vec::with_capacity(cols.len());
-    for c in cols {
-        positions.push(
-            schema
-                .index_of(c)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))?,
-        );
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != positions.len() {
-            return Err(EngineError::Catalog("INSERT row arity mismatch".into()));
-        }
-        let mut reordered = vec![Value::Int(0); row.len()];
-        for (value, &pos) in row.into_iter().zip(&positions) {
-            reordered[pos] = value;
-        }
-        out.push(reordered);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

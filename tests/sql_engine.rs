@@ -191,3 +191,22 @@ fn large_multi_batch_aggregation_is_exact() {
     let q = e.execute("SELECT SUM(v) AS s, COUNT(*) AS c FROM big").unwrap();
     assert_eq!(q.rows(), vec![vec![Value::Float(50_000.0), Value::Int(50_000)]]);
 }
+
+/// A query that selects no row still returns one typed, empty column per
+/// output name, so `column` finds every name (it used to index past an
+/// empty column list).
+#[test]
+fn empty_select_returns_typed_empty_columns() {
+    let e = engine();
+    e.execute("CREATE TABLE t (id INT, x FLOAT)").unwrap();
+    e.execute("INSERT INTO t VALUES (1, 0.5), (2, 1.5)").unwrap();
+    for sql in ["SELECT id, x FROM t WHERE id = 99", "SELECT id, x FROM t WHERE id = 99 ORDER BY x"]
+    {
+        let q = e.execute(sql).unwrap();
+        assert_eq!(q.names, vec!["id", "x"], "{sql}");
+        assert_eq!(q.num_columns(), q.names.len(), "{sql}");
+        assert_eq!(q.num_rows(), 0, "{sql}");
+        assert_eq!(q.column("id").unwrap(), &ColumnVector::Int(Vec::new()), "{sql}");
+        assert_eq!(q.column("x").unwrap(), &ColumnVector::Float(Vec::new()), "{sql}");
+    }
+}
